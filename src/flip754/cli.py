@@ -31,9 +31,7 @@ from .analytic import (
 )
 from .fileio import inject_file
 from .formats import (
-    BINARY16,
-    BINARY32,
-    BINARY64,
+    _STANDARD,
     FpClass,
     FpFormat,
     ValueKind,
@@ -63,16 +61,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-_NAMED_FORMATS = {"binary16": BINARY16, "binary32": BINARY32, "binary64": BINARY64}
-
 
 # ── argument parsing ──────────────────────────────────────────────────────
 
 
 def _parse_format(text: str) -> FpFormat:
     t = text.strip().lower()
-    if t in _NAMED_FORMATS:
-        return _NAMED_FORMATS[t]
+    if t in _STANDARD:
+        return _STANDARD[t]
     parts = t.split(",")
     if len(parts) == 2:
         try:

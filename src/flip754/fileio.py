@@ -48,33 +48,34 @@ def _word_bytes(fmt: FpFormat) -> int:
     return fmt.total_bits // 8
 
 
-def _byte_shifts(fmt: FpFormat, endian: str) -> np.ndarray:
+def _layout(fmt: FpFormat, endian: str) -> tuple[int, np.dtype, slice]:
+    """Word bytes, the 8-byte word dtype, and where a word's bytes sit in it."""
     nb = _word_bytes(fmt)
-    if endian not in ("little", "big"):
-        raise ValueError(f"endian must be 'little' or 'big', not {endian!r}")
-    order = np.arange(nb, dtype=np.uint64)
+    if endian == "little":
+        return nb, np.dtype("<u8"), slice(0, nb)
     if endian == "big":
-        order = order[::-1]
-    return order * np.uint64(8)
+        return nb, np.dtype(">u8"), slice(8 - nb, 8)
+    raise ValueError(f"endian must be 'little' or 'big', not {endian!r}")
 
 
 def words_from_bytes(data: bytes, fmt: FpFormat, endian: str = "little") -> np.ndarray:
     """Decode a byte stream into a uint64 array of words."""
-    nb = _word_bytes(fmt)
+    nb, dtype, place = _layout(fmt, endian)
     if len(data) % nb:
         raise ValueError(
             f"stream length {len(data)} is not a multiple of the "
             f"{nb}-byte word size"
         )
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nb).astype(np.uint64)
-    return (raw << _byte_shifts(fmt, endian)).sum(axis=1, dtype=np.uint64)
+    padded = np.zeros((len(data) // nb, 8), dtype=np.uint8)
+    padded[:, place] = np.frombuffer(data, dtype=np.uint8).reshape(-1, nb)
+    return padded.view(dtype).ravel().astype(np.uint64, copy=False)
 
 
 def words_to_bytes(words: np.ndarray, fmt: FpFormat, endian: str = "little") -> bytes:
     """Encode a uint64 array of words back into a byte stream."""
-    w = np.asarray(words, dtype=np.uint64).reshape(-1, 1)
-    per_byte = (w >> _byte_shifts(fmt, endian)) & np.uint64(0xFF)
-    return per_byte.astype(np.uint8).tobytes()
+    _, dtype, place = _layout(fmt, endian)
+    w = np.asarray(words, dtype=np.uint64).astype(dtype, copy=False)
+    return w.reshape(-1, 1).view(np.uint8)[:, place].tobytes()
 
 
 def read_words(path: str | Path, fmt: FpFormat, endian: str = "little") -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import floor_log2 as _floor_log2
+from .rationals import _round_half_even, floor_log2 as _floor_log2
 
 __all__ = [
     "FpFormat",
@@ -377,12 +377,3 @@ def encode_nearest(fmt: FpFormat, magnitude: Fraction, sign_bit: int = 0) -> Wor
         return recompose(fmt, sign_bit, fmt.exponent_all_ones, 0)
     f = sig & fmt.fraction_mask if e else sig
     return recompose(fmt, sign_bit, e, f)
-
-
-def _round_half_even(q: Fraction) -> int:
-    """Round a non-negative rational to the nearest integer, ties to even."""
-    floor = q.numerator // q.denominator
-    rem = q - floor
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and floor & 1):
-        return floor + 1
-    return floor

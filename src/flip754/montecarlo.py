@@ -11,6 +11,11 @@ Two empirical engines back the closed forms in `analytic`:
   from SeedSequence((seed, chunk_index)), so a campaign's tallies are
   bit-identical across reruns and across worker counts.
 
+Both engines are reductions of the one flip-outcome kernel in `_vector`
+(which `relerr.bounds_sweep` reduces too): the census calls it once per
+position on each batch of enumerated words, the campaign once per field
+(sign, fraction, exponent) on the lanes of each chunk.
+
 `compare` judges either engine's tallies against the closed forms:
 exact rational equality for a census, a binomial z-test for a campaign.
 """
@@ -24,16 +29,10 @@ from math import sqrt
 
 import numpy as np
 
-from ._vector import (
-    CLASS_CODE,
-    CLASS_ORDER,
-    classify_codes,
-    enumerate_class,
-    flip_bits,
-    msb_index,
-    sample_class_bits,
-    split_fields,
-)
+from ._vector import BATCH, CLASS_CODE, CLASS_ORDER, Case, FlipKernel
+from ._vector import enumerate_class, sample_class_bits
+# Not called here: perfbench/tracer.py looks these names up in this module.
+from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
 from .analytic import (
     BucketConvention,
     TransitionMatrix,
@@ -57,9 +56,6 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "flip754/report-v1"
-
-_U1 = np.uint64(1)
-_U63 = np.uint64(63)
 
 # Bucket slots used by the tally engine.
 _GE_ONE, _BETWEEN, _LE_HALF, _NONFINITE, _UNDEFINED = range(5)
@@ -107,117 +103,64 @@ class FlipTally:
 
 
 class _MutableTally:
+    """Counts kept while flips are tallied.
+
+    One histogram over (source class, destination class, case, position)
+    holds the transitions, and the error buckets and dyadic levels follow
+    from its (case, position) margin.  The exception is the level of a
+    denormal fraction flip at most 1/2, which depends on each word's
+    leading fraction bit and is counted per word.
+    """
+
     def __init__(self, fmt: FpFormat) -> None:
-        self.trans = np.zeros((4, 4), dtype=np.int64)
-        self.buckets = np.zeros(5, dtype=np.int64)
-        self.dyadic = np.zeros(fmt.fraction_bits + 1, dtype=np.int64)
+        self.fmt = fmt
+        self.counts = np.zeros((16, Case.COUNT, fmt.total_bits), dtype=np.int64)
+        self.den_levels = np.zeros(fmt.fraction_bits + 1, dtype=np.int64)
+
+    def add(self, kernel: FlipKernel, pos: np.ndarray | int) -> None:
+        """Tally the flip of `pos` in every word of the kernel's batch."""
+        label, _, dst = kernel.outcome(pos)
+        pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label  # < 16 * 13, a uint8
+        p = np.asarray(pos, dtype=np.intp)
+        key = pair_case.astype(np.intp) * self.fmt.total_bits + p
+        self.counts += np.bincount(key, minlength=self.counts.size).reshape(self.counts.shape)
+        if kernel.has_den:
+            le = label == Case.DEN_FRAC_LE
+            levels = kernel.lead[le] - (p[le] if p.ndim else p)
+            self.den_levels += np.bincount(levels, minlength=self.den_levels.size)
 
     def merge(self, other: "_MutableTally") -> None:
-        self.trans += other.trans
-        self.buckets += other.buckets
-        self.dyadic += other.dyadic
+        self.counts += other.counts
+        self.den_levels += other.den_levels
 
     def freeze(self) -> FlipTally:
+        w_f = self.fmt.fraction_bits
+        cases = self.counts.sum(axis=0)
+        buckets = np.zeros(5, dtype=np.int64)
+        for case, slot in _CASE_BUCKET.items():
+            buckets[slot] += cases[case].sum()
+        dyadic = self.den_levels.copy()
+        dyadic[1] += cases[Case.EXP_HALF].sum()
+        # normalized fraction entry k = w_f - pos: the largest level is exactly k
+        dyadic[1:] += cases[Case.NORM_FRAC, w_f - 1 :: -1]
         return FlipTally(
-            transitions=tuple(tuple(int(c) for c in row) for row in self.trans),
-            buckets=tuple(int(c) for c in self.buckets),
-            dyadic=tuple(int(c) for c in self.dyadic),
+            transitions=tuple(
+                tuple(int(c) for c in row)
+                for row in self.counts.sum(axis=(1, 2)).reshape(4, 4)
+            ),
+            buckets=tuple(int(c) for c in buckets),
+            dyadic=tuple(int(c) for c in dyadic),
         )
 
 
-def _accumulate(
-    fmt: FpFormat, bits: np.ndarray, pos: np.ndarray | int, tally: _MutableTally
-) -> None:
-    """Tally class transitions and error buckets for one batch of flips.
-
-    Pure integer logic throughout, so census counts are exact.  `pos`
-    may be a scalar (census: one position for the whole batch) or a
-    per-word array (campaign).
-    """
-    b = np.asarray(bits, dtype=np.uint64)
-    p = np.asarray(pos, dtype=np.uint64)
-    if p.ndim == 0:
-        p = np.broadcast_to(p, b.shape)
-    w_e, w_f, w = fmt.exponent_bits, fmt.fraction_bits, fmt.total_bits
-
-    _, e, f = split_fields(fmt, b)
-    codes = classify_codes(fmt, b)
-    flipped = flip_bits(b, p)
-    _, e2, _ = split_fields(fmt, flipped)
-    codes2 = classify_codes(fmt, flipped)
-
-    pair = codes.astype(np.int64) * 4 + codes2
-    tally.trans += np.bincount(pair, minlength=16).reshape(4, 4)
-
-    norm = codes == CLASS_CODE[FpClass.NORMALIZED]
-    den = codes == CLASS_CODE[FpClass.DENORMALIZED]
-    f_nz = f != 0
-    den_nz = den & f_nz
-    finite_src = norm | den_nz
-
-    bucket = np.full(b.shape, _UNDEFINED, dtype=np.uint8)
-    m = np.zeros(b.shape, dtype=np.int64)  # largest dyadic level, 0 = none
-    p_i = p.astype(np.int64)
-
-    sign_pos = p_i == w - 1
-    frac_pos = p_i < w_f
-    exp_pos = ~sign_pos & ~frac_pos
-
-    # Sign flip: error exactly 2 for any finite nonzero source.
-    bucket[sign_pos & finite_src] = _GE_ONE
-
-    # Normalized fraction flip: error in (2^-(k+1), 2^-k] with k = w_f - pos,
-    # so the largest dyadic level is exactly k.
-    nf = frac_pos & norm
-    bucket[nf] = _LE_HALF
-    m[nf] = w_f - p_i[nf]
-
-    # Denormal fraction flip: error is exactly 2^pos / f.
-    df = frac_pos & den_nz
-    bit_value = _U1 << np.minimum(p, _U63)
-    ge = df & (bit_value >= f)
-    le = df & ((_U1 << np.minimum(p + _U1, _U63)) <= f)
-    bucket[ge] = _GE_ONE
-    bucket[le] = _LE_HALF
-    bucket[df & ~ge & ~le] = _BETWEEN
-    lead = msb_index(f)
-    m[le] = (lead - p_i)[le]
-
-    # Exponent flips.  `place` is the entry's position within the biased
-    # exponent; its value there is 2^place.
-    place = np.clip(p_i - w_f, 0, None).astype(np.uint64)
-    up = exp_pos & (((e >> place) & _U1) == 0)
-    down = exp_pos & ~up
-
-    # Normalized, 0 to 1: error 2^(2^place) - 1 >= 1, unless the word
-    # leaves the finite range entirely.
-    ne_up = up & norm
-    lands_nonfinite = ne_up & (codes2 >= 2)
-    bucket[lands_nonfinite] = _NONFINITE
-    bucket[ne_up & ~lands_nonfinite] = _GE_ONE
-
-    # Normalized, 1 to 0, still normalized: error 1 - 2^-(2^place),
-    # exactly 1/2 at the lowest entry and in (1/2, 1) above it.
-    nd = down & norm
-    nd_norm = nd & (e2 > 0)
-    low = nd_norm & (place == 0)
-    bucket[low] = _LE_HALF
-    m[low] = 1
-    bucket[nd_norm & (place > 0)] = _BETWEEN
-
-    # Normalized, 1 to 0, into the denormals: error 1 - (f / M) 2^(1 - e)
-    # is exactly 1 on a zero fraction and in (1/2, 1) otherwise.
-    nd_den = nd & (e2 == 0)
-    bucket[nd_den & ~f_nz] = _GE_ONE
-    bucket[nd_den & f_nz] = _BETWEEN
-
-    # Nonzero denormal exponent flip: error > 2^(2^place) - 1 >= 1.
-    bucket[exp_pos & den_nz] = _GE_ONE
-
-    tally.buckets += np.bincount(bucket, minlength=5)
-    mm = m[m > 0]
-    if mm.size:
-        tally.dyadic += np.bincount(mm, minlength=w_f + 1)
+# Error bucket of each case.
+_CASE_BUCKET = {
+    Case.UNDEFINED: _UNDEFINED, Case.SIGN: _GE_ONE, Case.NORM_FRAC: _LE_HALF,
+    Case.DEN_FRAC_GE: _GE_ONE, Case.DEN_FRAC_MID: _BETWEEN, Case.DEN_FRAC_LE: _LE_HALF,
+    Case.EXP_UP: _GE_ONE, Case.EXP_NONFINITE: _NONFINITE, Case.EXP_HALF: _LE_HALF,
+    Case.EXP_DOWN: _BETWEEN, Case.EXP_TO_DEN: _BETWEEN, Case.EXP_TO_ZERO: _GE_ONE,
+    Case.DEN_EXP: _GE_ONE,
+}
 
 
 # ── campaigns ─────────────────────────────────────────────────────────────
@@ -307,7 +250,11 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         bits = sample_class_bits(fmt, cls, rng, size)
         pos = rng.integers(0, fmt.total_bits, size=size, dtype=np.uint64)
         t = _MutableTally(fmt)
-        _accumulate(fmt, bits, pos, t)
+        sign = pos == fmt.total_bits - 1
+        frac = pos < fmt.fraction_bits
+        for lanes in (sign, frac, ~(sign | frac)):
+            if lanes.any():
+                t.add(FlipKernel(fmt, bits[lanes]), pos[lanes])
         return t
 
     total = _MutableTally(fmt)
@@ -357,7 +304,7 @@ def exhaustive_census(
     fmt: FpFormat,
     source_class: FpClass,
     convention: BucketConvention = BucketConvention.MERGED,
-    chunk_size: int = 1 << 18,
+    chunk_size: int = BATCH,
 ) -> CensusReport:
     """Tally every flip of every word of a class; exact by construction.
 
@@ -368,8 +315,9 @@ def exhaustive_census(
         raise ValueError("exhaustive census supports formats of at most 24 bits")
     t = _MutableTally(fmt)
     for chunk in enumerate_class(fmt, source_class, chunk_size):
+        kernel = FlipKernel(fmt, chunk)
         for pos in range(fmt.total_bits):
-            _accumulate(fmt, chunk, pos, t)
+            t.add(kernel, pos)
     return CensusReport(
         fmt, source_class, convention, class_size(fmt, source_class), t.freeze()
     )

@@ -91,6 +91,7 @@ def _ndigits(n: int) -> int:
 
 
 def _round_half_even(q: Fraction) -> int:
+    """Round a non-negative rational to the nearest integer, ties to even."""
     floor = q.numerator // q.denominator
     rem = q - floor
     half = Fraction(1, 2)

@@ -17,8 +17,10 @@ nonzero sources each flip locus carries a closed-form prediction:
   judged, so these cases are informational.
 
 `check_bounds` evaluates one word/position pair against the matching
-prediction; `bounds_sweep` does the same for every position of a whole
-uint64 array of words using exact integer comparisons only.
+prediction with exact Fractions.  `bounds_sweep` judges every position
+of a whole uint64 array of words with integer comparisons only: it is a
+(case, held) histogram of the flip-outcome kernel in `_vector`, the same
+case analysis that the census and the campaign in `montecarlo` tally.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._vector import classify_codes, flip_bits, msb_index, split_fields
+from ._vector import BATCH, Case, FlipKernel
+# Not called here: perfbench/tracer.py looks these names up in this module.
+from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
 from .formats import (
     Field,
     FieldLocus,
@@ -294,103 +298,38 @@ class SweepReport:
 def bounds_sweep(fmt: FpFormat, bits: np.ndarray) -> SweepReport:
     """Check every (word, position) pair of `bits` against the predictions.
 
-    Pure integer arithmetic on uint64 arrays; equivalent to calling
-    `check_bounds` on every pair, just a few thousand times faster.
+    Integer arithmetic only, a few thousand times faster than `check_bounds`.
+    A case conforms when the after-word of the vector flip differs from the
+    source exactly where its closed form says; the counters then equal those
+    of `check_bounds` on every pair (tested exhaustively on small formats),
+    and any other after-word counts as a violation.
     """
-    b = np.asarray(bits, dtype=np.uint64)
-    w_f, w_e, w_total = fmt.fraction_bits, fmt.exponent_bits, fmt.total_bits
-    s, e, f = split_fields(fmt, b)
-    codes = classify_codes(fmt, b)
-
-    norm = codes == 0
-    den = codes == 1
-    den_nz = den & (f != 0)
-    undef = ~norm & ~den_nz  # NaN, Inf, and the two zeros
-
-    big_m = np.uint64(1 << w_f) + f  # normalized significand 2^w_f + f
-    # leading-entry identity 2^L <= f < 2^(L+1); exercised per fraction flip
-    msb = np.clip(msb_index(f), 0, None).astype(np.uint64)
-    msb_ok = den_nz & ((f >> msb) == np.uint64(1))
-
-    n = int(b.size)
-    conforms = violations = informational = nonfinite = 0
-    undefined = int(undef.sum()) * w_total
+    b = np.asarray(bits, dtype=np.uint64).ravel()
+    counts = np.zeros((Case.COUNT, 2), dtype=np.int64)  # (case, held)
+    judged = np.arange(Case.COUNT) != Case.UNDEFINED
     examples: list[tuple[str, int]] = []
+    for start in range(0, b.size, BATCH):
+        kernel = FlipKernel(fmt, b[start : start + BATCH])
+        for pos in range(fmt.total_bits):
+            label, held, _ = kernel.outcome(pos)
+            here = np.bincount(label * 2 + held, minlength=2 * Case.COUNT).reshape(Case.COUNT, 2)
+            counts += here
+            if len(examples) < 10 and here[judged, 0].any():
+                bad = np.flatnonzero(~held & (label != Case.UNDEFINED))
+                examples += [
+                    (Word(int(kernel.bits[i]), fmt).hex(), pos)
+                    for i in bad[: 10 - len(examples)]
+                ]
 
-    def note_examples(bad: np.ndarray, pos: int) -> None:
-        if len(examples) >= 10 or not bad.any():
-            return
-        for i in np.flatnonzero(bad)[: 10 - len(examples)]:
-            examples.append((Word(int(b[i]), fmt).hex(), pos))
-
-    for pos in range(w_total):
-        flipped = flip_bits(b, pos)
-        s2, e2, f2 = split_fields(fmt, flipped)
-        codes2 = classify_codes(fmt, flipped)
-
-        if pos == w_total - 1:  # sign flip: error exactly 2 for any source
-            ok = (s2 != s) & (e2 == e) & (f2 == f)
-            live = norm | den_nz
-        elif pos < w_f:  # fraction flip
-            ok = np.zeros_like(norm)
-            # normalized: err = 2^pos / M in (2^-(k+1), 2^-k], k = w_f - pos,
-            # i.e. 2^w_f <= M < 2^(w_f + 1)
-            ok |= norm & (big_m >= np.uint64(1 << w_f)) & (
-                big_m < np.uint64(1 << (w_f + 1))
-            )
-            # denormal: err = 2^pos / f in (2^(t-k-1), 2^(t-k)], which reduces
-            # to the leading-entry identity checked in msb_ok
-            ok |= msb_ok
-            live = norm | den_nz
-        else:  # exponent flip
-            place = pos - w_f
-            step = np.uint64(1 << place)
-            up = ((e >> np.uint64(place)) & np.uint64(1)) == 0
-            fields_kept = (s2 == s) & (f2 == f)
-
-            norm_up = norm & up
-            norm_down = norm & ~up
-            lands_nonfinite = norm_up & (codes2 >= 2)
-            nonfinite += int(lands_nonfinite.sum())
-            # 0 -> 1, still finite: err = 2^(e2 - e) - 1 equals the predicted
-            # 2^(2^place) - 1 exactly when e2 - e == 2^place
-            ok_nu = norm_up & ~lands_nonfinite & fields_kept & (e2 == e + step)
-            # 1 -> 0, still normalized: err = 1 - 2^(e2 - e), predicted point
-            # 1 - 2^-(2^place); exact when e2 == e - step and e2 > 0
-            ok_nd = norm_down & fields_kept & (e2 == e - step) & (e2 > 0)
-            # 1 -> 0 into the denormals: e was the single bit 2^place and
-            # err = 1 - (f / M) 2^(1 - e) lies in (1 - 2^-(2^place), 1]
-            # exactly when 2 f < M
-            ok_dd = (
-                norm_down & fields_kept & (e == step) & (e2 == 0)
-                & (np.uint64(2) * f < big_m)
-            )
-            # nonzero denormal, one-sided: err > 2^(2^place) - 1 iff 2 f < M
-            info_ok = (
-                den_nz & fields_kept & (e2 == step)
-                & (np.uint64(2) * f < big_m)
-            )
-            info_bad = den_nz & ~info_ok
-            informational += int(info_ok.sum())
-            violations += int(info_bad.sum())
-            note_examples(info_bad, pos)
-
-            ok = ok_nu | ok_nd | ok_dd
-            live = (norm & ~lands_nonfinite)
-
-        good = ok & live
-        bad = live & ~ok
-        conforms += int(good.sum())
-        violations += int(bad.sum())
-        note_examples(bad, pos)
-
+    missed, kept = counts[:, 0], counts[:, 1]
+    nonfinite, informational = int(kept[Case.EXP_NONFINITE]), int(kept[Case.DEN_EXP])
     return SweepReport(
         fmt=fmt,
-        cases=n * w_total,
-        conforms=conforms,
-        violations=violations,
+        cases=b.size * fmt.total_bits,
+        conforms=int(kept[judged].sum()) - nonfinite - informational,
+        violations=int(missed[judged].sum()),
         informational=informational,
         nonfinite=nonfinite,
-        undefined=undefined,
+        undefined=int(counts[Case.UNDEFINED].sum()),
         violation_examples=tuple(examples),
     )

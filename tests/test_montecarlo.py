@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from flip754 import (
+    BINARY16,
     BINARY64,
     BucketConvention,
     CampaignConfig,
@@ -27,7 +29,7 @@ from flip754 import (
     sample_word,
     transition_matrix,
 )
-from conftest import SMALL_FORMATS, brute_census
+from conftest import PLANTED_FAULTS, SMALL_FORMATS, brute_census
 
 ORDER = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
 CENSUS_FORMATS = SMALL_FORMATS + [FpFormat(5, 10)]
@@ -44,6 +46,21 @@ def test_census_matches_brute_force(small_format, cls):
     assert report.tally.buckets == oracle["buckets"]
     assert report.tally.dyadic == oracle["dyadic"]
     assert report.cases == sum(sum(row) for row in oracle["transitions"])
+
+
+@pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
+def test_census_catches_planted_faults(plant_fault, fault):
+    fmt = FpFormat(3, 2)
+    oracle = {cls: brute_census(fmt, cls) for cls in ORDER}
+    if fault is not None:
+        plant_fault(fault, fmt)
+    differs = []
+    for cls in ORDER:
+        tally = exhaustive_census(fmt, cls).tally
+        got = {"transitions": tally.transitions, "buckets": tally.buckets, "dyadic": tally.dyadic}
+        if got != oracle[cls]:
+            differs.append(cls)
+    assert bool(differs) == (fault is not None)
 
 
 def test_census_case_accounting(small_format):
@@ -102,6 +119,29 @@ def test_campaign_is_deterministic():
     assert first.cases == 150_000
     assert sum(sum(row) for row in first.tally.transitions) == 150_000
     assert sum(first.tally.buckets) == 150_000
+
+
+PINNED = json.loads(
+    (Path(__file__).parent / "golden" / "campaign_tallies.json").read_text()
+)
+PINNED_FORMATS = {"binary64": BINARY64, "binary16": BINARY16, "2,1": FpFormat(2, 1)}
+
+
+@pytest.mark.parametrize(
+    "case", PINNED,
+    ids=lambda c: f"{c['format']}-{c['source_class']}-{c['seed']}",
+)
+def test_campaign_reproduces_pinned_tallies(case):
+    """Tallies recorded from the engine as it stood before the shared outcome
+    kernel; chunk_size 3000 leaves a ragged last chunk of 1000 samples."""
+    config = CampaignConfig(
+        PINNED_FORMATS[case["format"]], FpClass(case["source_class"]),
+        case["sample_count"], seed=case["seed"], chunk_size=case["chunk_size"],
+    )
+    tally = run_campaign(config).tally
+    assert [list(row) for row in tally.transitions] == case["transitions"]
+    assert list(tally.buckets) == case["buckets"]
+    assert list(tally.dyadic) == case["dyadic"]
 
 
 def test_campaign_worker_count_does_not_change_tallies():

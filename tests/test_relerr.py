@@ -37,7 +37,7 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
-from conftest import SMALL_FORMATS
+from conftest import PLANTED_FAULTS, SMALL_FORMATS
 
 
 # ── relative_error itself ─────────────────────────────────────────────────
@@ -242,6 +242,23 @@ def test_sweep_on_sampled_binary64():
             + rep.nonfinite + rep.undefined
         )
         assert total == rep.cases
+
+
+@pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
+def test_sweep_catches_planted_faults(plant_fault, fault):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    bits = np.concatenate([
+        sample_class_bits(BINARY64, cls, rng, 2000)
+        for cls in (FpClass.NORMALIZED, FpClass.DENORMALIZED)
+    ])
+    if fault is not None:
+        plant_fault(fault, BINARY64)
+    rep = bounds_sweep(BINARY64, bits)
+    if fault is None:
+        assert rep.violations == 0 and rep.violation_examples == ()
+    else:
+        assert rep.violations > 0
+        assert len(rep.violation_examples) == 10
 
 
 def test_sweep_counter_partition_guard():
