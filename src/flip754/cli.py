@@ -194,7 +194,9 @@ def _emit(fmt: FpFormat, command: str, payload: dict) -> None:
         "format": _format_payload(fmt),
         "payload": payload,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    # Streamed chunk by chunk: the document never exists as one string.
+    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:

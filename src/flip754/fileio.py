@@ -11,8 +11,11 @@ Two injection modes, both seeded and reproducible:
   replacement and applied in draw order, so a site drawn twice flips
   twice and the second event records the once-flipped word.
 
+Events are applied as arrays: a stable sort by word index groups each
+word's flips in event order, an XOR prefix over their masks gives the
+word every event saw, and `np.bitwise_xor.at` writes the output words.
 The summary records every event with before/after words, classes, and
-the exact relative error.
+the exact relative error, computed on integers.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import FpClass, FpFormat, Word, classify
+from ._vector import CLASS_ORDER, classify_codes
+from .formats import FpClass, FpFormat, Word
 from .rationals import decimal_str, log2_value, ratio_str
-from .relerr import ErrorKind, relative_error
+from .relerr import ErrorKind, RelativeError, relative_error
+
+# Not called here: perfbench/tracer.py looks this name up in this module.
+from .formats import classify  # noqa: F401
 
 __all__ = [
     "InjectionEvent",
@@ -119,12 +126,31 @@ class InjectionSummary:
         return self.word_count * self.fmt.total_bits
 
     def transition_counts(self) -> dict[FpClass, dict[FpClass, int]]:
-        counts = {a: {b: 0 for b in FpClass} for a in FpClass}
-        for ev in self.events:
-            counts[classify(ev.before)][classify(ev.after)] += 1
-        return counts
+        return _transition_grid(*self._class_codes())
+
+    def _class_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """CLASS_ORDER codes of every event's before- and after-word."""
+        n = len(self.events)
+        before = np.fromiter((ev.before.bits for ev in self.events), np.uint64, n)
+        after = np.fromiter((ev.after.bits for ev in self.events), np.uint64, n)
+        return classify_codes(self.fmt, before), classify_codes(self.fmt, after)
 
     def to_payload(self, digits: int = 5) -> dict:
+        src, dst = self._class_codes()
+        names = [cls.value for cls in CLASS_ORDER]
+        hex_digits = self.fmt.hex_digits
+        events = [
+            {
+                "word_index": ev.word_index,
+                "bit": ev.position,
+                "before": f"0x{ev.before.bits:0{hex_digits}X}",
+                "after": f"0x{ev.after.bits:0{hex_digits}X}",
+                "class_before": names[a],
+                "class_after": names[b],
+                "error": _error_payload(relative_error(ev.before, ev.position), digits),
+            }
+            for ev, a, b in zip(self.events, src.tolist(), dst.tolist())
+        ]
         return {
             "schema": INJECT_SCHEMA,
             "mode": self.mode,
@@ -137,41 +163,62 @@ class InjectionSummary:
             "event_count": len(self.events),
             "transitions": {
                 a.value: {b.value: n for b, n in row.items()}
-                for a, row in self.transition_counts().items()
+                for a, row in _transition_grid(src, dst).items()
             },
-            "events": [self._event_payload(ev, digits) for ev in self.events],
-        }
-
-    @staticmethod
-    def _event_payload(ev: InjectionEvent, digits: int) -> dict:
-        err = relative_error(ev.before, ev.position)
-        obj: dict = {"kind": err.kind.value}
-        if err.kind is ErrorKind.FINITE:
-            assert err.value is not None
-            obj["ratio"] = ratio_str(err.value)
-            obj["decimal"] = decimal_str(err.value, digits)
-            obj["log2"] = log2_value(err.value)
-        return {
-            "word_index": ev.word_index,
-            "bit": ev.position,
-            "before": ev.before.hex(),
-            "after": ev.after.hex(),
-            "class_before": classify(ev.before).value,
-            "class_after": classify(ev.after).value,
-            "error": obj,
+            "events": events,
         }
 
 
-def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> list[int]:
-    """Choose k distinct sites uniformly; batched rejection, order-free."""
-    chosen: set[int] = set()
-    while len(chosen) < k:
-        need = k - len(chosen)
-        for v in rng.integers(0, n_sites, size=max(2 * need, 16)):
-            chosen.add(int(v))
-            if len(chosen) == k:
-                break
-    return sorted(chosen)
+def _transition_grid(src: np.ndarray, dst: np.ndarray) -> dict[FpClass, dict[FpClass, int]]:
+    k = len(CLASS_ORDER)
+    grid = np.bincount(src * k + dst, minlength=k * k).reshape(k, k).tolist()
+    return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, grid)}
+
+
+def _error_payload(err: RelativeError, digits: int) -> dict:
+    if err.kind is not ErrorKind.FINITE:
+        return {"kind": err.kind.value}
+    return {
+        "kind": err.kind.value,
+        "ratio": ratio_str(err.value),
+        "decimal": decimal_str(err.value, digits),
+        "log2": log2_value(err.value),
+    }
+
+
+def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:
+    """Choose k distinct sites uniformly, sorted; batched rejection.
+
+    Each batch keeps its values in draw order, first occurrences only and
+    none already chosen, until k are chosen.
+    """
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < k:
+        need = k - chosen.size
+        batch = rng.integers(0, n_sites, size=max(2 * need, 16))
+        values, first = np.unique(batch, return_index=True)
+        fresh = np.sort(first[~np.isin(values, chosen, assume_unique=True)])
+        chosen = np.union1d(chosen, batch[fresh[:need]])
+    return chosen
+
+
+def _apply_events(
+    out: np.ndarray, idx: np.ndarray, bit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """XOR every event's mask into `out`; returns each event's word before and after.
+
+    Events are in application order.  Within one word, the word an event
+    saw is the input word XOR the masks of that word's earlier events.
+    """
+    masks = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    order = np.argsort(idx, kind="stable")
+    word, grouped = idx[order], masks[order]
+    prefix = np.bitwise_xor.accumulate(grouped) ^ grouped  # exclusive XOR prefix
+    first = np.searchsorted(word, word)  # where each word's group starts
+    before = np.empty_like(masks)
+    before[order] = out[word] ^ prefix ^ prefix[first]
+    np.bitwise_xor.at(out, idx, masks)
+    return before, before ^ masks
 
 
 def inject_words(
@@ -199,11 +246,11 @@ def inject_words(
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
         if n_words == 0:
-            sites: list[int] = []
+            sites = np.empty(0, dtype=np.int64)
         else:
             k = int(rng.binomial(n_words * w, rate))
             sites = _distinct_sites(rng, n_words * w, k)
-        pairs = [(site // w, site % w) for site in sites]
+        idx, bit = np.divmod(sites, w)
         mode = "rate"
     else:
         if count < 0:
@@ -212,16 +259,13 @@ def inject_words(
             raise ValueError("cannot inject into an empty stream")
         idx = rng.integers(0, max(n_words, 1), size=count, dtype=np.int64)
         bit = rng.integers(0, w, size=count, dtype=np.int64)
-        pairs = list(zip((int(i) for i in idx), (int(b) for b in bit)))
         mode = "count"
 
-    events = []
-    for word_index, position in pairs:
-        before = Word(int(out[word_index]), fmt)
-        after = Word(before.bits ^ (1 << position), fmt)
-        out[word_index] = np.uint64(after.bits)
-        events.append(InjectionEvent(word_index, position, before, after))
-
+    before, after = _apply_events(out, idx, bit)
+    events = tuple(
+        InjectionEvent(i, p, Word(b, fmt), Word(a, fmt))
+        for i, p, b, a in zip(idx.tolist(), bit.tolist(), before.tolist(), after.tolist())
+    )
     summary = InjectionSummary(
         fmt=fmt,
         endian=endian,
@@ -230,7 +274,7 @@ def inject_words(
         seed=seed,
         rate=rate,
         requested=count,
-        events=tuple(events),
+        events=events,
     )
     return out, summary
 

@@ -363,7 +363,8 @@ def encode_nearest(fmt: FpFormat, magnitude: Fraction, sign_bit: int = 0) -> Wor
     while True:
         # Stored significand = magnitude / 2^(scale); scale as in decode_value.
         scale = (e if e else 1) - fmt.bias - fmt.fraction_bits
-        sig = _round_half_even(magnitude * Fraction(2) ** -scale)
+        scaled = magnitude * Fraction(2) ** -scale
+        sig = _round_half_even(scaled.numerator, scaled.denominator)
         limit = 1 << (fmt.fraction_bits + 1)
         if e == 0 and sig >= limit >> 1:
             e = 1  # rounding promoted a subnormal to the normal range

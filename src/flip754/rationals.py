@@ -3,7 +3,9 @@
 Probabilities and relative errors live as `fractions.Fraction` end to end;
 decimals appear only here, at the presentation layer.  Rendering keeps a
 fixed number of significant digits (round half to even) and never strips
-trailing zeros, so 41/50 at five digits is "0.82000", not "0.82".
+trailing zeros, so 41/50 at five digits is "0.82000", not "0.82".  It
+works on the numerator and denominator as integers: one scaling by a
+power of ten and one `divmod`, no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -23,13 +25,18 @@ def decimal_str(q: Fraction, digits: int = 5) -> str:
     """
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    if q == 0:
+    n, d = q.numerator, q.denominator
+    if n == 0:
         return "0"
-    sign = "-" if q < 0 else ""
-    mag = abs(q)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
 
-    e10 = _floor_log10(mag)
-    m = _round_half_even(mag * Fraction(10) ** (digits - 1 - e10))
+    e10 = _floor_log10(n, d)
+    shift = digits - 1 - e10
+    if shift >= 0:
+        m = _round_half_even(n * 10**shift, d)
+    else:
+        m = _round_half_even(n, d * 10**-shift)
     if m == 10**digits:  # rounding carried into the next decade
         m //= 10
         e10 += 1
@@ -53,11 +60,12 @@ def log2_value(q: Fraction) -> float | None:
 
     Works for rationals far outside host-float range (2^1024 - 1 and up).
     """
-    if q < 0:
+    n = q.numerator
+    if n < 0:
         raise ValueError("log2 of a negative rational")
-    if q == 0:
+    if n == 0:
         return None
-    return math.log2(q.numerator) - math.log2(q.denominator)
+    return math.log2(n) - math.log2(q.denominator)
 
 
 def floor_log2(q: Fraction) -> int:
@@ -80,21 +88,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from None
 
 
-def _floor_log10(q: Fraction) -> int:
-    # Decimal digit counts pin the result to {n-1, n}; settle exactly.
-    n = _ndigits(q.numerator) - _ndigits(q.denominator)
-    return n if q >= Fraction(10) ** n else n - 1
+def _floor_log10(n: int, d: int) -> int:
+    """Exact floor(log10(n/d)) for positive integers n and d."""
+    # Decimal digit counts pin the result to {k-1, k}; settle exactly.
+    k = len(str(n)) - len(str(d))
+    return k if (n >= d * 10**k if k >= 0 else n * 10**-k >= d) else k - 1
 
 
-def _ndigits(n: int) -> int:
-    return len(str(n))
-
-
-def _round_half_even(q: Fraction) -> int:
-    """Round a non-negative rational to the nearest integer, ties to even."""
-    floor = q.numerator // q.denominator
-    rem = q - floor
-    half = Fraction(1, 2)
-    if rem > half or (rem == half and floor & 1):
-        return floor + 1
-    return floor
+def _round_half_even(n: int, d: int) -> int:
+    """Round n/d (n >= 0, d > 0) to the nearest integer, ties to even."""
+    m, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and m & 1):
+        return m + 1
+    return m

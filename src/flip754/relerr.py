@@ -34,17 +34,16 @@ import numpy as np
 from ._vector import BATCH, Case, FlipKernel
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
+from .formats import decode_value  # noqa: F401
 from .formats import (
     Field,
     FieldLocus,
     FpClass,
     FpFormat,
-    ValueKind,
     Word,
     bit_of_locus,
     classify,
     decode_fields,
-    decode_value,
     first_nonzero_fraction_entry,
     locus_of_bit,
 )
@@ -92,16 +91,31 @@ def relative_error(w: Word, pos: int) -> RelativeError:
     """Exact |x - x'| / |x| for the flip of bit `pos`, as a Fraction.
 
     Undefined when x is zero, NaN, or infinite; non-finite when the
-    flipped word leaves the finite range.
+    flipped word leaves the finite range.  Computed from the integer
+    fields: both values are significand * 2^(exponent - bias - w_f), so
+    the common scale cancels once both significands are shifted to the
+    smaller exponent.
     """
-    v = decode_value(w)
-    if v.kind is not ValueKind.FINITE or v.significand == 0:
+    fmt = w.fmt
+    total, w_f, top = fmt.total_bits, fmt.fraction_bits, fmt.exponent_all_ones
+    if not 0 <= pos < total:
+        raise ValueError(f"bit position {pos} outside [0, {total})")
+    bits, bits2 = w.bits, w.bits ^ (1 << pos)
+    e, e2 = (bits >> w_f) & top, (bits2 >> w_f) & top
+    f, f2 = bits & ((1 << w_f) - 1), bits2 & ((1 << w_f) - 1)
+    if e == top or (e == 0 and f == 0):
         return RelativeError(ErrorKind.UNDEFINED)
-    v2 = decode_value(flip_bit(w, pos))
-    if v2.kind is not ValueKind.FINITE:
+    if e2 == top:
         return RelativeError(ErrorKind.NONFINITE)
-    x = v.as_fraction()
-    return RelativeError(ErrorKind.FINITE, abs(x - v2.as_fraction()) / abs(x))
+    # Normalized significands carry the hidden bit; denormals scale as e = 1.
+    m = f | (1 << w_f) if e else f
+    m2 = f2 | (1 << w_f) if e2 else f2
+    e, e2 = max(e, 1), max(e2, 1)
+    low = min(e, e2)
+    m, m2 = m << (e - low), m2 << (e2 - low)
+    # Only a sign flip changes the sign, and then |x - x'| = |x| + |x'|.
+    diff = m + m2 if pos == total - 1 else abs(m - m2)
+    return RelativeError(ErrorKind.FINITE, Fraction(diff, m))
 
 
 # ── closed-form intervals ─────────────────────────────────────────────────

@@ -17,10 +17,12 @@ from flip754 import (
     ErrorKind,
     FpClass,
     FpFormat,
+    RelativeError,
+    ValueKind,
     Word,
     classify,
+    decode_value,
     flip_bit,
-    relative_error,
 )
 
 SMALL_FORMATS = [FpFormat(2, 1), FpFormat(3, 2), FpFormat(4, 3)]
@@ -46,6 +48,22 @@ def iter_class_words(fmt: FpFormat, cls: FpClass):
             yield w
 
 
+def fraction_relative_error(w: Word, pos: int) -> RelativeError:
+    """|x - x'| / |x| from both decoded values as Fractions.
+
+    Subtracts the decoded values themselves, so it shares no arithmetic
+    with `relerr.relative_error`, which shifts integer significands.
+    """
+    v = decode_value(w)
+    if v.kind is not ValueKind.FINITE or v.significand == 0:
+        return RelativeError(ErrorKind.UNDEFINED)
+    v2 = decode_value(flip_bit(w, pos))
+    if v2.kind is not ValueKind.FINITE:
+        return RelativeError(ErrorKind.NONFINITE)
+    x = v.as_fraction()
+    return RelativeError(ErrorKind.FINITE, abs(x - v2.as_fraction()) / abs(x))
+
+
 def dyadic_level(err: Fraction) -> int:
     """Largest i >= 1 with err <= 2^-i, or 0 when err > 1/2."""
     m = 0
@@ -67,7 +85,7 @@ def brute_census(fmt: FpFormat, cls: FpClass) -> dict:
     for w in iter_class_words(fmt, cls):
         for pos in range(fmt.total_bits):
             trans[(cls, classify(flip_bit(w, pos)))] += 1
-            err = relative_error(w, pos)
+            err = fraction_relative_error(w, pos)
             if err.kind is ErrorKind.UNDEFINED:
                 buckets["undefined"] += 1
             elif err.kind is ErrorKind.NONFINITE:

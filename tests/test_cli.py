@@ -54,6 +54,73 @@ def test_golden_output(capsys, argv, filename):
     assert out == (GOLDEN / filename).read_text()
 
 
+# Inject goldens: a fixed input stream per case, then stdout and the output
+# stream compared byte for byte.  The binary64 words cover normals,
+# denormals, +-0, both NaN kinds and +-Inf.
+B64_WORDS = [
+    0x3FF0000000000000,  # 1.0
+    0xC004000000000000,  # -2.5
+    0x400921FB54442D18,  # pi
+    0x01A56E1FC2F8F359,  # 1e-300
+    0x0000000000000001,  # smallest denormal
+    0x000FFFFFFFFFFFFF,  # largest denormal
+    0x8000123456789ABC,  # negative denormal
+    0x0010000000000000,  # smallest normal
+    0x0000000000000000,  # +0
+    0x8000000000000000,  # -0
+    0x7FF8000000000000,  # quiet NaN
+    0x7FF0000000000001,  # signalling NaN
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FEFFFFFFFFFFFFF,  # largest finite
+    0x3FB999999999999A,  # 0.1
+]
+B16_WORDS = [
+    0x3C00, 0xC100, 0x0001, 0x03FF, 0x8200, 0x0400, 0x0000,
+    0x8000, 0x7E00, 0x7C01, 0x7C00, 0xFC00, 0x7BFF, 0x3555,
+]
+
+# name -> (input words, struct word code with byte order, extra arguments)
+INJECT_GOLDEN_CASES = {
+    "inject_rate_binary64": (B64_WORDS, "<Q", ["--rate", "0.1", "--seed", "11"]),
+    "inject_count_repeats": (B64_WORDS[:4], "<Q", ["--count", "40", "--seed", "5"]),
+    "inject_binary16_big": (
+        B16_WORDS, ">H",
+        ["--format", "binary16", "--endian", "big", "--rate", "0.25", "--seed", "3"],
+    ),
+    "inject_digits3": (B64_WORDS, "<Q", ["--rate", "0.05", "--digits", "3", "--seed", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", INJECT_GOLDEN_CASES)
+def test_inject_matches_golden(capsys, tmp_path, name):
+    words, code, extra = INJECT_GOLDEN_CASES[name]
+    stream, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    stream.write_bytes(b"".join(struct.pack(code, w) for w in words))
+    status, stdout, _ = run_cli(
+        capsys, "inject", "--in", str(stream), "--out", str(out), *extra
+    )
+    assert status == 0
+    assert stdout == (GOLDEN / f"{name}.json").read_text()
+    assert out.read_bytes() == (GOLDEN / f"{name}.bin").read_bytes()
+
+
+def test_inject_goldens_cover_repeated_words_and_sites():
+    def events(name):
+        return json.loads((GOLDEN / f"{name}.json").read_text())["payload"]["events"]
+
+    # rate mode: some word takes two or more flips
+    hits = [ev["word_index"] for ev in events("inject_rate_binary64")]
+    assert max(hits.count(i) for i in set(hits)) >= 2
+    # count mode: a site recurs with events on other words in between
+    sites = [(ev["word_index"], ev["bit"]) for ev in events("inject_count_repeats")]
+    assert any(
+        sites[j] == sites[i] and any(s[0] != sites[i][0] for s in sites[i + 1 : j])
+        for i in range(len(sites))
+        for j in range(i + 1, len(sites))
+    )
+
+
 def test_console_script_matches_golden():
     """The declared console script reproduces the golden table.
 

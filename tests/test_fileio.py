@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flip754 import (
     BINARY64,
@@ -21,6 +23,7 @@ from flip754 import (
     words_to_bytes,
     write_words,
 )
+from flip754.fileio import _distinct_sites
 
 THREE_BYTE = FpFormat(6, 17)  # 24-bit words
 
@@ -130,6 +133,32 @@ def test_count_mode_draws_sites_with_replacement():
     assert _replay(words, summary) == [int(out[0])]
 
 
+def test_count_mode_chain_survives_interleaved_words():
+    # word 0 is hit, then other words, then word 0 again at another bit
+    words = np.array([word_from_float(x).bits for x in (1.0, -3.0, 0.25)], dtype=np.uint64)
+    out, summary = inject_words(words, BINARY64, seed=4, count=30)
+    hits = [ev.word_index for ev in summary.events]
+    assert any(
+        hits[i] == hits[j] != hits[i + 1]
+        and summary.events[i].position != summary.events[j].position
+        for i in range(len(hits))
+        for j in range(i + 2, len(hits))
+    )
+    assert _replay(words, summary) == [int(b) for b in out]
+
+
+@given(
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=5),
+    st.integers(0, 60),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_count_mode_chain_replays_for_any_draw(bits, count, seed):
+    words = np.array(bits, dtype=np.uint64)
+    out, summary = inject_words(words, BINARY64, seed=seed, count=count)
+    assert _replay(words, summary) == [int(b) for b in out]
+
+
 def test_injection_is_deterministic_and_pure():
     words = np.array([word_from_float(float(i)).bits for i in range(32)], dtype=np.uint64)
     keep = words.copy()
@@ -165,6 +194,37 @@ def test_rate_mode_flips_distinct_sites_once():
     # each event flips a zero word somewhere, so popcounts add up
     assert sum(int(b).bit_count() for b in out) == len(sites)
     assert _replay(words, summary) == [int(b) for b in out]
+
+
+def test_rate_mode_chain_with_several_flips_per_word():
+    words = np.array([word_from_float(x).bits for x in (1.5, -0.0)], dtype=np.uint64)
+    out, summary = inject_words(words, BINARY64, seed=6, rate=0.5)
+    hits = [ev.word_index for ev in summary.events]
+    assert min(hits.count(0), hits.count(1)) >= 2
+    assert _replay(words, summary) == [int(b) for b in out]
+
+
+def _set_distinct_sites(rng, n_sites, k):
+    """Reference: the same batched rejection, one site at a time into a set."""
+    chosen = set()
+    while len(chosen) < k:
+        need = k - len(chosen)
+        for v in rng.integers(0, n_sites, size=max(2 * need, 16)):
+            chosen.add(int(v))
+            if len(chosen) == k:
+                break
+    return sorted(chosen)
+
+
+@given(st.integers(1, 300), st.floats(0.0, 1.0), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_distinct_sites_match_one_at_a_time_rejection(n_sites, share, seed):
+    k = int(share * n_sites)
+    def rng():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    a, b = rng(), rng()
+    assert _distinct_sites(a, n_sites, k).tolist() == _set_distinct_sites(b, n_sites, k)
+    assert a.integers(1 << 62) == b.integers(1 << 62)  # same draws consumed
 
 
 def test_rate_mode_event_count_is_plausible():

@@ -1,7 +1,8 @@
 """Exact rational rendering, parsing, and logarithms.
 
 decimal_str is checked against the decimal module's own rounding as an
-independent oracle, plus a frozen set of known renderings.
+independent oracle, against a renderer written in Fraction arithmetic,
+and against a frozen set of known renderings.
 """
 
 from __future__ import annotations
@@ -84,6 +85,58 @@ def test_decimal_str_keeps_significant_digit_count(q, digits):
     mantissa = decimal_str(q, digits).split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa.lstrip("0")) <= digits
     assert len(mantissa) >= digits or mantissa.startswith("0")
+
+
+def fraction_decimal_str(q: Fraction, digits: int) -> str:
+    """decimal_str written with Fraction arithmetic throughout: the reference."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    mag = abs(q)
+    n = len(str(mag.numerator)) - len(str(mag.denominator))
+    e10 = n if mag >= Fraction(10) ** n else n - 1
+    scaled = mag * Fraction(10) ** (digits - 1 - e10)
+    m = scaled.numerator // scaled.denominator
+    rem = scaled - m
+    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and m & 1):
+        m += 1
+    if m == 10**digits:
+        m //= 10
+        e10 += 1
+    ds = str(m)
+    if -4 <= e10 < digits:
+        if e10 >= 0:
+            head, tail = ds[: e10 + 1], ds[e10 + 1 :]
+            return sign + (f"{head}.{tail}" if tail else head)
+        return sign + "0." + "0" * (-e10 - 1) + ds
+    return f"{sign}{ds[0]}.{ds[1:]}e{e10:+03d}"
+
+
+@st.composite
+def rationals_to_render(draw):
+    """Wide rationals, plus values near decade carries and the window edges."""
+    digits = draw(st.integers(1, 17))
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["wide", "carry", "edge"]))
+    if kind == "wide":
+        q = Fraction(draw(st.integers(1, 2**1100)), draw(st.integers(1, 2**1100)))
+    else:
+        if kind == "carry":  # just below 10^e, where rounding reaches 10^digits
+            e = draw(st.integers(-30, 30))
+        else:  # around the first and last positional decades
+            e = draw(st.sampled_from([-5, -4, -3, digits - 2, digits - 1, digits]))
+        step = Fraction(10) ** (e - digits) * Fraction(1, draw(st.integers(1, 40)))
+        q = Fraction(10) ** e + draw(st.integers(-20, 20)) * step
+        if q <= 0:
+            q = Fraction(10) ** e
+    return sign * q, digits
+
+
+@given(rationals_to_render())
+@settings(max_examples=600)
+def test_decimal_str_matches_fraction_reference(case):
+    q, digits = case
+    assert decimal_str(q, digits) == fraction_decimal_str(q, digits)
 
 
 def test_ratio_str():

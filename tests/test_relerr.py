@@ -37,7 +37,7 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
-from conftest import PLANTED_FAULTS, SMALL_FORMATS
+from conftest import PLANTED_FAULTS, SMALL_FORMATS, fraction_relative_error
 
 
 # ── relative_error itself ─────────────────────────────────────────────────
@@ -57,6 +57,27 @@ def test_relative_error_matches_host_arithmetic(bits, pos):
     else:
         # Fraction(float) is exact, so the oracle is exact too
         assert err.value == abs(Fraction(x) - Fraction(x2)) / abs(Fraction(x))
+
+
+@pytest.mark.parametrize("fmt", SMALL_FORMATS, ids=lambda f: f.name)
+def test_relative_error_matches_fraction_oracle_exhaustively(fmt):
+    for bits in range(1 << fmt.total_bits):
+        w = Word(bits, fmt)
+        for pos in range(fmt.total_bits):
+            assert relative_error(w, pos) == fraction_relative_error(w, pos), (w, pos)
+
+
+@given(st.integers(0, (1 << 64) - 1), st.integers(0, 63))
+@settings(max_examples=400)
+def test_relative_error_matches_fraction_oracle_on_binary64(bits, pos):
+    w = Word(bits, BINARY64)
+    assert relative_error(w, pos) == fraction_relative_error(w, pos)
+
+
+def test_relative_error_rejects_positions_outside_the_word():
+    for pos in (-1, 64):
+        with pytest.raises(ValueError):
+            relative_error(word_from_float(1.0), pos)
 
 
 def test_relative_error_known_cases():
