@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import TextIO
 
 from ._vector import CLASS_ORDER
 from .analytic import (
@@ -51,7 +53,7 @@ from .montecarlo import (
     run_campaign,
 )
 from .rationals import decimal_str, log2_value, parse_rational, ratio_str
-from .relerr import CheckStatus, ErrorInterval, ErrorKind, RelativeError, check_bounds
+from .relerr import ErrorInterval, check_bounds, error_payload
 
 __all__ = ["main", "CLI_SCHEMA", "ENVELOPE_SCHEMA", "PAYLOAD_SCHEMAS"]
 
@@ -161,18 +163,6 @@ def _value_payload(w: Word, digits: int) -> dict:
     }
 
 
-def _error_payload(err: RelativeError, digits: int) -> dict:
-    if err.kind is not ErrorKind.FINITE:
-        return {"kind": err.kind.value}
-    assert err.value is not None
-    return {
-        "kind": "finite",
-        "ratio": ratio_str(err.value),
-        "decimal": decimal_str(err.value, digits),
-        "log2": log2_value(err.value),
-    }
-
-
 def _interval_payload(iv: ErrorInterval | None, digits: int) -> dict | None:
     if iv is None:
         return None
@@ -194,9 +184,96 @@ def _emit(fmt: FpFormat, command: str, payload: dict) -> None:
         "format": _format_payload(fmt),
         "payload": payload,
     }
-    # Streamed chunk by chunk: the document never exists as one string.
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+    _write_json(doc, sys.stdout)
     sys.stdout.write("\n")
+
+
+# ── JSON writer ───────────────────────────────────────────────────────────
+
+_FLUSH_PARTS = 4096
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj: object, stream: TextIO) -> None:
+    """Write obj as `json.dump(obj, stream, indent=2, sort_keys=True)` does.
+
+    Byte for byte the same for dicts with str keys, lists, tuples, str,
+    int, float, bool and None (subclasses too, as json.dump treats them);
+    anything else raises TypeError.  json.dump falls back to its
+    pure-Python encoder whenever `indent` is set; this writer is about
+    twice as fast.  Parts go to `stream` every `_FLUSH_PARTS` list items,
+    so the document never exists as one string.
+    """
+    out: list[str] = []
+    append = out.append
+    keys: dict[str, str] = {}  # key -> its JSON text and ": "
+
+    def value(o: object, nl: str) -> None:
+        """Append the parts of o; nl is a newline and o's own indent."""
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, v in sorted(o.items()):
+                key = keys.get(k)
+                if key is None:
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                    key = keys[k] = _encode_str(k) + ": "
+                append(sep)
+                append(key)
+                sep = "," + inner
+                t = type(v)  # inline the common leaves: a call each costs more
+                if t is str:
+                    append(_encode_str(v))
+                elif t is int:
+                    append(int.__repr__(v))
+                else:
+                    value(v, inner)
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for v in o:
+                append(sep)
+                sep = "," + inner
+                value(v, inner)
+                if len(out) >= _FLUSH_PARTS:
+                    stream.write("".join(out))
+                    out.clear()
+            append(nl + "]")
+        elif isinstance(o, str):
+            append(_encode_str(o))
+        else:
+            append(_scalar_text(o))
+
+    value(obj, "\n")
+    stream.write("".join(out))
+
+
+def _scalar_text(o: object) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -225,7 +302,7 @@ def _cmd_flip(fmt: FpFormat, args: argparse.Namespace) -> int:
         "locus": {"field": rec.locus.field.value, "index": rec.locus.index},
         "before": _word_payload(rec.before, args.digits),
         "after": _word_payload(rec.after, args.digits),
-        "error": _error_payload(chk.error, args.digits),
+        "error": error_payload(fmt, w.bits, args.bit, args.digits),
         "check": {
             "status": chk.status.value,
             "note": chk.note,

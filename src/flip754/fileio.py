@@ -14,24 +14,25 @@ Two injection modes, both seeded and reproducible:
 Events are applied as arrays: a stable sort by word index groups each
 word's flips in event order, an XOR prefix over their masks gives the
 word every event saw, and `np.bitwise_xor.at` writes the output words.
-The summary records every event with before/after words, classes, and
-the exact relative error, computed on integers.
+The summary keeps the events as four column arrays (word index, bit,
+word before, word after) in application order; the payload takes the
+classes from them as arrays and each exact relative error on integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._vector import CLASS_ORDER, classify_codes
 from .formats import FpClass, FpFormat, Word
-from .rationals import decimal_str, log2_value, ratio_str
-from .relerr import ErrorKind, RelativeError, relative_error
+from .relerr import error_payload
 
-# Not called here: perfbench/tracer.py looks this name up in this module.
+# Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
+from .relerr import relative_error  # noqa: F401
 
 __all__ = [
     "InjectionEvent",
@@ -108,9 +109,14 @@ class InjectionEvent:
     after: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InjectionSummary:
-    """Every event of one injection run plus aggregate transition counts."""
+    """One injection run: its settings and every event as column arrays.
+
+    Row k of `word_index`, `position`, `before` and `after` is the k-th
+    applied flip; `before` is the word just before it.  Summaries are
+    equal when every field is, the columns element by element.
+    """
 
     fmt: FpFormat
     endian: str
@@ -119,7 +125,31 @@ class InjectionSummary:
     seed: int
     rate: float | None
     requested: int | None  # count mode: flips asked for
-    events: tuple[InjectionEvent, ...]
+    word_index: np.ndarray  # int64
+    position: np.ndarray  # int64
+    before: np.ndarray  # uint64
+    after: np.ndarray  # uint64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InjectionSummary):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    @property
+    def events(self) -> tuple[InjectionEvent, ...]:
+        """The events as records, built from the columns on each call."""
+        fmt = self.fmt
+        return tuple(
+            InjectionEvent(i, p, Word(b, fmt), Word(a, fmt))
+            for i, p, b, a in zip(
+                self.word_index.tolist(), self.position.tolist(),
+                self.before.tolist(), self.after.tolist(),
+            )
+        )
 
     @property
     def site_count(self) -> int:
@@ -130,26 +160,28 @@ class InjectionSummary:
 
     def _class_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """CLASS_ORDER codes of every event's before- and after-word."""
-        n = len(self.events)
-        before = np.fromiter((ev.before.bits for ev in self.events), np.uint64, n)
-        after = np.fromiter((ev.after.bits for ev in self.events), np.uint64, n)
-        return classify_codes(self.fmt, before), classify_codes(self.fmt, after)
+        return classify_codes(self.fmt, self.before), classify_codes(self.fmt, self.after)
 
     def to_payload(self, digits: int = 5) -> dict:
         src, dst = self._class_codes()
         names = [cls.value for cls in CLASS_ORDER]
-        hex_digits = self.fmt.hex_digits
+        fmt = self.fmt
+        hex_digits = fmt.hex_digits
         events = [
             {
-                "word_index": ev.word_index,
-                "bit": ev.position,
-                "before": f"0x{ev.before.bits:0{hex_digits}X}",
-                "after": f"0x{ev.after.bits:0{hex_digits}X}",
-                "class_before": names[a],
-                "class_after": names[b],
-                "error": _error_payload(relative_error(ev.before, ev.position), digits),
+                "word_index": i,
+                "bit": p,
+                "before": f"0x{b:0{hex_digits}X}",
+                "after": f"0x{a:0{hex_digits}X}",
+                "class_before": names[cb],
+                "class_after": names[ca],
+                "error": error_payload(fmt, b, p, digits),
             }
-            for ev, a, b in zip(self.events, src.tolist(), dst.tolist())
+            for i, p, b, a, cb, ca in zip(
+                self.word_index.tolist(), self.position.tolist(),
+                self.before.tolist(), self.after.tolist(),
+                src.tolist(), dst.tolist(),
+            )
         ]
         return {
             "schema": INJECT_SCHEMA,
@@ -160,7 +192,7 @@ class InjectionSummary:
             "endian": self.endian,
             "word_count": self.word_count,
             "site_count": self.site_count,
-            "event_count": len(self.events),
+            "event_count": len(events),
             "transitions": {
                 a.value: {b.value: n for b, n in row.items()}
                 for a, row in _transition_grid(src, dst).items()
@@ -173,17 +205,6 @@ def _transition_grid(src: np.ndarray, dst: np.ndarray) -> dict[FpClass, dict[FpC
     k = len(CLASS_ORDER)
     grid = np.bincount(src * k + dst, minlength=k * k).reshape(k, k).tolist()
     return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, grid)}
-
-
-def _error_payload(err: RelativeError, digits: int) -> dict:
-    if err.kind is not ErrorKind.FINITE:
-        return {"kind": err.kind.value}
-    return {
-        "kind": err.kind.value,
-        "ratio": ratio_str(err.value),
-        "decimal": decimal_str(err.value, digits),
-        "log2": log2_value(err.value),
-    }
 
 
 def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:
@@ -262,10 +283,6 @@ def inject_words(
         mode = "count"
 
     before, after = _apply_events(out, idx, bit)
-    events = tuple(
-        InjectionEvent(i, p, Word(b, fmt), Word(a, fmt))
-        for i, p, b, a in zip(idx.tolist(), bit.tolist(), before.tolist(), after.tolist())
-    )
     summary = InjectionSummary(
         fmt=fmt,
         endian=endian,
@@ -274,7 +291,10 @@ def inject_words(
         seed=seed,
         rate=rate,
         requested=count,
-        events=events,
+        word_index=idx,
+        position=bit,
+        before=before,
+        after=after,
     )
     return out, summary
 

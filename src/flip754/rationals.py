@@ -6,6 +6,10 @@ fixed number of significant digits (round half to even) and never strips
 trailing zeros, so 41/50 at five digits is "0.82000", not "0.82".  It
 works on the numerator and denominator as integers: one scaling by a
 power of ten and one `divmod`, no Fraction arithmetic.
+
+Each renderer has an integer core taking the numerator and denominator
+(`decimal_text`, `ratio_text`, `log2_ratio`) under its Fraction form, so
+a caller holding a ratio as two integers never builds a Fraction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,16 @@ import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-__all__ = ["decimal_str", "ratio_str", "log2_value", "parse_rational", "floor_log2"]
+__all__ = [
+    "decimal_str",
+    "decimal_text",
+    "ratio_str",
+    "ratio_text",
+    "log2_value",
+    "log2_ratio",
+    "parse_rational",
+    "floor_log2",
+]
 
 
 def decimal_str(q: Fraction, digits: int = 5) -> str:
@@ -23,9 +36,13 @@ def decimal_str(q: Fraction, digits: int = 5) -> str:
     Positional notation while the leading digit sits in 10^-4..10^(digits-1),
     scientific ("1.8041e-16") outside that window.
     """
+    return decimal_text(q.numerator, q.denominator, digits)
+
+
+def decimal_text(n: int, d: int, digits: int = 5) -> str:
+    """`decimal_str` of the rational n/d, for integers n and d > 0."""
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    n, d = q.numerator, q.denominator
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
@@ -52,7 +69,12 @@ def decimal_str(q: Fraction, digits: int = 5) -> str:
 
 def ratio_str(q: Fraction) -> str:
     """Exact lowest-terms form: '13/128', or just '2' for integers."""
-    return str(q)
+    return ratio_text(q.numerator, q.denominator)
+
+
+def ratio_text(n: int, d: int) -> str:
+    """`ratio_str` of n/d, for n and d > 0 already in lowest terms."""
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 def log2_value(q: Fraction) -> float | None:
@@ -60,12 +82,16 @@ def log2_value(q: Fraction) -> float | None:
 
     Works for rationals far outside host-float range (2^1024 - 1 and up).
     """
-    n = q.numerator
+    return log2_ratio(q.numerator, q.denominator)
+
+
+def log2_ratio(n: int, d: int) -> float | None:
+    """`log2_value` of n/d, for integers n >= 0 and d > 0."""
     if n < 0:
         raise ValueError("log2 of a negative rational")
     if n == 0:
         return None
-    return math.log2(n) - math.log2(q.denominator)
+    return math.log2(n) - math.log2(d)
 
 
 def floor_log2(q: Fraction) -> int:

@@ -1,8 +1,10 @@
 """Exact relative errors of single bit flips, with closed-form bounds.
 
-The relative error |x - x'| / |x| of a flip is computed as an exact
-`Fraction`; no floating-point rounding enters anywhere.  For finite
-nonzero sources each flip locus carries a closed-form prediction:
+The relative error |x - x'| / |x| of a flip is computed on integers as
+a lowest-terms pair n/d (`error_ratio`) and handed out as an exact
+`Fraction` (`relative_error`); no floating-point rounding enters
+anywhere.  For finite nonzero sources each flip locus carries a
+closed-form prediction:
 
 * sign flip: exactly 2;
 * fraction entry k of a normalized word: in (2^-(k+1), 2^-k];
@@ -25,6 +27,7 @@ case analysis that the census and the campaign in `montecarlo` tally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -48,6 +51,7 @@ from .formats import (
     locus_of_bit,
 )
 from .inject import flip_bit
+from .rationals import decimal_text, log2_ratio, ratio_text
 
 __all__ = [
     "ErrorKind",
@@ -57,6 +61,8 @@ __all__ = [
     "BoundsCheck",
     "SweepReport",
     "relative_error",
+    "error_ratio",
+    "error_payload",
     "normalized_error_interval",
     "denormal_error_interval",
     "check_bounds",
@@ -91,31 +97,61 @@ def relative_error(w: Word, pos: int) -> RelativeError:
     """Exact |x - x'| / |x| for the flip of bit `pos`, as a Fraction.
 
     Undefined when x is zero, NaN, or infinite; non-finite when the
-    flipped word leaves the finite range.  Computed from the integer
-    fields: both values are significand * 2^(exponent - bias - w_f), so
-    the common scale cancels once both significands are shifted to the
-    smaller exponent.
+    flipped word leaves the finite range.  `error_ratio` computes it.
     """
-    fmt = w.fmt
+    kind, n, d = error_ratio(w.fmt, w.bits, pos)
+    return RelativeError(kind, Fraction(n, d) if kind is ErrorKind.FINITE else None)
+
+
+def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int]:
+    """`relative_error` of flipping bit `pos` of `bits` as (kind, n, d).
+
+    n/d is the error in lowest terms for FINITE; n = d = 0 otherwise.
+    Computed from the integer fields: both values are
+    significand * 2^(exponent - bias - w_f), so the common scale cancels
+    once both significands are shifted to the smaller exponent.
+    """
     total, w_f, top = fmt.total_bits, fmt.fraction_bits, fmt.exponent_all_ones
     if not 0 <= pos < total:
         raise ValueError(f"bit position {pos} outside [0, {total})")
-    bits, bits2 = w.bits, w.bits ^ (1 << pos)
-    e, e2 = (bits >> w_f) & top, (bits2 >> w_f) & top
-    f, f2 = bits & ((1 << w_f) - 1), bits2 & ((1 << w_f) - 1)
+    hidden = 1 << w_f
+    e, f = (bits >> w_f) & top, bits & (hidden - 1)
     if e == top or (e == 0 and f == 0):
-        return RelativeError(ErrorKind.UNDEFINED)
-    if e2 == top:
-        return RelativeError(ErrorKind.NONFINITE)
+        return ErrorKind.UNDEFINED, 0, 0
+    if pos == total - 1:  # x' = -x, so |x - x'| = 2|x|
+        return ErrorKind.FINITE, 2, 1
     # Normalized significands carry the hidden bit; denormals scale as e = 1.
-    m = f | (1 << w_f) if e else f
-    m2 = f2 | (1 << w_f) if e2 else f2
-    e, e2 = max(e, 1), max(e2, 1)
-    low = min(e, e2)
-    m, m2 = m << (e - low), m2 << (e2 - low)
-    # Only a sign flip changes the sign, and then |x - x'| = |x| + |x'|.
-    diff = m + m2 if pos == total - 1 else abs(m - m2)
-    return RelativeError(ErrorKind.FINITE, Fraction(diff, m))
+    m = f | hidden if e else f
+    if pos < w_f:  # same exponent; the significands differ by 2^pos
+        diff = 1 << pos
+    else:
+        e2 = e ^ (1 << (pos - w_f))
+        if e2 == top:
+            return ErrorKind.NONFINITE, 0, 0
+        m2 = f | hidden if e2 else f
+        e, e2 = max(e, 1), max(e2, 1)
+        low = min(e, e2)
+        m, m2 = m << (e - low), m2 << (e2 - low)
+        diff = abs(m - m2)
+    g = math.gcd(diff, m)
+    return ErrorKind.FINITE, diff // g, m // g
+
+
+def error_payload(fmt: FpFormat, bits: int, pos: int, digits: int) -> dict:
+    """The JSON form of `error_ratio`, as `flip` and `inject` print it.
+
+    The kind alone, or for FINITE also the exact ratio, its decimal with
+    `digits` significant digits, and its log2.
+    """
+    kind, n, d = error_ratio(fmt, bits, pos)
+    if kind is not ErrorKind.FINITE:
+        return {"kind": kind.value}
+    return {
+        "kind": kind.value,
+        "ratio": ratio_text(n, d),
+        "decimal": decimal_text(n, d, digits),
+        "log2": log2_ratio(n, d),
+    }
 
 
 # ── closed-form intervals ─────────────────────────────────────────────────

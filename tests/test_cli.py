@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flip754
-from flip754.cli import ENVELOPE_SCHEMA, PAYLOAD_SCHEMAS, main
+from flip754.cli import ENVELOPE_SCHEMA, PAYLOAD_SCHEMAS, _write_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,6 +152,97 @@ def test_console_script_matches_golden():
         cmd + ["table", "--csv"], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out == (GOLDEN / "table_binary64.csv").read_text()
+
+
+# ── JSON writer ───────────────────────────────────────────────────────────
+
+
+def reference_dump(obj) -> str:
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, sort_keys=True)
+    return buf.getvalue()
+
+
+def written(obj) -> str:
+    buf = io.StringIO()
+    _write_json(obj, buf)
+    return buf.getvalue()
+
+
+SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "\u2028", "\U0001F600"]
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL_CHARS)), max_size=8)
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.sampled_from([True, False, 1, 0]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    JSON_TEXT,
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+# Every special leaf, with empty containers at three depths.
+SPECIAL_TREE = {
+    "".join(SPECIAL_CHARS): ["".join(SPECIAL_CHARS), *SPECIAL_FLOATS],
+    "ints": [2**64, -(2**70), True, 1, False, 0, None],
+    "empty": [{}, [], (), {"": {"a": [], "b": {}}}],
+    "t": (1, (2, [3, {}])),
+}
+
+
+@given(JSON_TREES)
+@example(SPECIAL_TREE)
+@settings(max_examples=300)
+def test_writer_matches_json_dump(obj):
+    assert written(obj) == reference_dump(obj)
+
+
+# Every JSON golden the CLI wrote; campaign_tallies.json is a test_montecarlo
+# fixture in a layout of its own.
+CLI_GOLDEN_JSON = sorted(set(GOLDEN.glob("*.json")) - {GOLDEN / "campaign_tallies.json"})
+
+
+@pytest.mark.parametrize("path", CLI_GOLDEN_JSON, ids=lambda p: p.name)
+def test_writer_reemits_golden_json(path):
+    text = path.read_text()
+    assert written(json.loads(text)) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "obj", [Fraction(1, 3), np.int64(3), {"a": [Fraction(1, 2)]}, [np.int64(0)], {1: "a"}],
+    ids=repr,
+)
+def test_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        written(obj)
+
+
+def test_writer_streams_in_bounded_chunks():
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    doc = {"events": [{"bit": i, "hex": f"0x{i:016X}"} for i in range(20000)]}
+    stream = Recorder()
+    _write_json(doc, stream)
+    assert stream.getvalue() == reference_dump(doc)
+    assert len(stream.sizes) > 10
+    assert max(stream.sizes) < len(stream.getvalue()) / 10
 
 
 # ── schema validation ─────────────────────────────────────────────────────

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -263,6 +264,19 @@ def test_inject_file_matches_in_memory_run(tmp_path):
     direct_out, direct_summary = inject_words(words, BINARY64, seed=77, count=10)
     assert summary == direct_summary
     assert (read_words(dst, BINARY64) == direct_out).all()
+
+
+def test_summaries_that_differ_in_one_event_are_unequal():
+    words = np.array([word_from_float(float(i)).bits for i in range(16)], dtype=np.uint64)
+    _, summary = inject_words(words, BINARY64, seed=77, count=10)
+    assert summary == inject_words(words, BINARY64, seed=77, count=10)[1]
+    position = summary.position.copy()
+    position[3] ^= 1
+    assert dataclasses.replace(summary, position=position) != summary
+    before = summary.before.copy()
+    before[9] ^= np.uint64(1)
+    assert dataclasses.replace(summary, before=before) != summary
+    assert dataclasses.replace(summary, seed=78) != summary
 
 
 def test_inject_summary_payload(tmp_path):

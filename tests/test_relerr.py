@@ -37,6 +37,7 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
+from flip754.relerr import error_ratio
 from conftest import PLANTED_FAULTS, SMALL_FORMATS, fraction_relative_error
 
 
@@ -64,7 +65,12 @@ def test_relative_error_matches_fraction_oracle_exhaustively(fmt):
     for bits in range(1 << fmt.total_bits):
         w = Word(bits, fmt)
         for pos in range(fmt.total_bits):
-            assert relative_error(w, pos) == fraction_relative_error(w, pos), (w, pos)
+            expect = fraction_relative_error(w, pos)
+            assert relative_error(w, pos) == expect, (w, pos)
+            # the integer core already gives the ratio in lowest terms
+            q = expect.value
+            n, d = (q.numerator, q.denominator) if q is not None else (0, 0)
+            assert error_ratio(fmt, bits, pos) == (expect.kind, n, d), (w, pos)
 
 
 @given(st.integers(0, (1 << 64) - 1), st.integers(0, 63))
