@@ -8,8 +8,11 @@ against them in the test suite.
 
 `FlipKernel` holds the one vector form of the closed-form case analysis
 of a flip (sign; fraction; exponent up, down, into the denormals or off
-the finite range).  The census and the campaign in `montecarlo` and the
-bounds sweep in `relerr` are reductions of its per-word outcomes.
+the finite range).  The census in `montecarlo` and the bounds sweep in
+`relerr` reduce its outcomes over every (word, position) pair.  The
+campaign reduces them through `outcome_key`: it counts one small key per
+sampled flip and runs the kernel only on representative words of each
+key, weighting each outcome by its key's count.
 """
 
 from __future__ import annotations
@@ -138,28 +141,25 @@ class FlipKernel:
         self._frac_label = np.where(norm, Case.NORM_FRAC, Case.UNDEFINED)
         self._exp_label = np.where(den_nz, Case.DEN_EXP, Case.UNDEFINED)
 
-    def outcome(self, pos: int | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def outcome(self, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(case label, prediction held, destination class code) per word.
 
-        `pos` is one position or a per-word array whose positions all lie
-        in one field: sign, fraction or exponent.  `held` is judged from
-        the after-word: the flip must change exactly the predicted field
-        entry and leave the other fields as they were; denormal fraction
-        cases also need the leading-entry identity their interval rests on.
+        `held` is judged from the after-word: the flip of `pos` must change
+        exactly the predicted field entry and leave the other fields as
+        they were; denormal fraction cases also need the leading-entry
+        identity their interval rests on.
         """
         fmt, s, e, f = self.fmt, self.s, self.e, self.f
         w_f = fmt.fraction_bits
-        p = np.asarray(pos, dtype=np.uint64)
-        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, p))
+        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos))
         dst = _class_codes(fmt, e2, f2)
-        field_pos = int(p.flat[0])
 
-        if field_pos == fmt.total_bits - 1:
+        if pos == fmt.total_bits - 1:
             held = (s2 != s) & (e2 == e) & (f2 == f)
             return self._sign_label, held, dst
 
-        if field_pos < w_f:
-            bit = _U1 << p
+        if pos < w_f:
+            bit = _U1 << np.uint64(pos)
             held = (s2 == s) & (e2 == e) & ((f2 ^ f) == bit)
             label = self._frac_label
             if self.has_den:
@@ -171,16 +171,64 @@ class FlipKernel:
                 held &= self.lead_ok
             return label, held, dst
 
-        step = _U1 << (p - np.uint64(w_f))
+        step = _U1 << np.uint64(pos - w_f)
         held = (s2 == s) & (f2 == f) & ((e2 ^ e) == step)
         top = np.uint64(fmt.exponent_all_ones)
         up = np.where((e | step) == top, Case.EXP_NONFINITE, Case.EXP_UP)
         to_den = np.where(f == 0, Case.EXP_TO_ZERO, Case.EXP_TO_DEN)
-        down = np.where(
-            e == step, to_den, np.where(step == _U1, Case.EXP_HALF, Case.EXP_DOWN)
-        )
+        down = np.where(e == step, to_den, Case.EXP_HALF if pos == w_f else Case.EXP_DOWN)
         label = np.where(self.norm, np.where((e & step) == 0, up, down), self._exp_label)
         return label, held, dst
+
+
+def outcome_key(
+    fmt: FpFormat, cls: FpClass, bits: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Outcome key of flipping bit `pos[i]` of each word `bits[i]` of `cls`.
+
+    Returns (key, width) with key = pos * width + flags per lane.  The
+    key is a sufficient statistic of `FlipKernel.outcome`: lanes with one
+    key share source class, destination class, case label and, for
+    DEN_FRAC_LE, denormal level (lead - pos).  The flags, none of which
+    grows with the exponent width:
+
+    * normalized, exponent lanes only, with e2 = e ^ 2^(pos - w_f):
+      bit 0 e2 > e, bit 1 e2 is all ones, bit 2 e2 == 0, bit 3 f == 0;
+    * denormal: 2 * (msb_index(f) + 1) + (f is a power of two);
+    * NaN: f == 2^pos (only a fraction lane can hold);
+    * infinity: none.
+
+    So width is 16, 2 * (w_f + 1), 2 or 1, and a key takes fewer than
+    8,064 values in any legal format.  `tests/test_montecarlo.py::
+    test_outcome_key_is_sufficient` proves sufficiency on every word and
+    position of every format of at most 12 bits and of binary16;
+    `test_outcome_key_is_sufficient_on_wide_formats` samples binary64,
+    62,1 and 30,33.
+    """
+    b = np.asarray(bits, dtype=np.uint64)
+    p = np.asarray(pos, dtype=np.uint64)
+    w_f = fmt.fraction_bits
+    if cls is FpClass.NORMALIZED:
+        key = (p << np.uint64(4)).view(np.intp)
+        d = p - np.uint64(w_f)  # wraps past w_e below the exponent field
+        lane = np.flatnonzero(d < np.uint64(fmt.exponent_bits))
+        _, e, f = split_fields(fmt, b[lane])
+        e2 = e ^ (_U1 << d[lane])
+        key[lane] += (
+            (e2 > e).view(np.uint8)
+            | (e2 == np.uint64(fmt.exponent_all_ones)).view(np.uint8) << 1
+            | (e2 == 0).view(np.uint8) << 2
+            | (f == 0).view(np.uint8) << 3
+        )
+        return key, 16
+    _, e, f = split_fields(fmt, b)
+    if cls is FpClass.DENORMALIZED:
+        width = 2 * (w_f + 1)
+        pow2 = ((f & (f - _U1)) == 0) & (f != 0)
+        return p.astype(np.intp) * width + 2 * (msb_index(f) + 1) + pow2, width
+    if cls is FpClass.NAN:
+        return p.astype(np.intp) * 2 + (f == _U1 << p), 2
+    return p.astype(np.intp), 1
 
 
 # ── class enumeration and sampling ────────────────────────────────────────

@@ -566,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-p", type=float, default=1e-6,
                    help="skip cells with probability at or below this (default 1e-6)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker threads; never affects the counts (default 1)")
+                   help="worker threads, at most one per CPU and per chunk; "
+                        "never affects the counts (default 1)")
     p.add_argument("--chunk-size", type=_positive_int, default=65536,
                    help="sampling chunk size; part of the seeding scheme")
     p.set_defaults(handler=_cmd_sample)

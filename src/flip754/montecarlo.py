@@ -12,9 +12,14 @@ Two empirical engines back the closed forms in `analytic`:
   bit-identical across reruns and across worker counts.
 
 Both engines are reductions of the one flip-outcome kernel in `_vector`
-(which `relerr.bounds_sweep` reduces too): the census calls it once per
-position on each batch of enumerated words, the campaign once per field
-(sign, fraction, exponent) on the lanes of each chunk.
+(which `relerr.bounds_sweep` reduces too).  The census calls it once per
+position on each batch of enumerated words.  The campaign never runs it
+per lane: each chunk counts the `_vector.outcome_key` of its lanes in a
+histogram and keeps the smallest and largest word drawn for each key;
+after the merge the kernel runs once per position on those two
+representatives of every key seen, and each outcome is added as many
+times as its key was counted.  The two representatives must agree, so a
+key that missed a dependence of the outcome raises instead of tallying.
 
 `compare` judges either engine's tallies against the closed forms:
 exact rational equality for a census, a binomial z-test for a campaign.
@@ -22,6 +27,7 @@ exact rational equality for a census, a binomial z-test for a campaign.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +36,7 @@ from math import sqrt
 import numpy as np
 
 from ._vector import BATCH, CLASS_CODE, CLASS_ORDER, Case, FlipKernel
-from ._vector import enumerate_class, sample_class_bits
+from ._vector import enumerate_class, outcome_key, sample_class_bits
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
 from .analytic import (
@@ -117,21 +123,30 @@ class _MutableTally:
         self.counts = np.zeros((16, Case.COUNT, fmt.total_bits), dtype=np.int64)
         self.den_levels = np.zeros(fmt.fraction_bits + 1, dtype=np.int64)
 
-    def add(self, kernel: FlipKernel, pos: np.ndarray | int) -> None:
-        """Tally the flip of `pos` in every word of the kernel's batch."""
+    def cells(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Flat index into `counts` of the flip of `pos` in every word of the
+        kernel's batch, and its denormal level (-1 unless the case is
+        DEN_FRAC_LE); no levels when the batch holds no nonzero denormal."""
         label, _, dst = kernel.outcome(pos)
         pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label  # < 16 * 13, a uint8
-        p = np.asarray(pos, dtype=np.intp)
-        key = pair_case.astype(np.intp) * self.fmt.total_bits + p
-        self.counts += np.bincount(key, minlength=self.counts.size).reshape(self.counts.shape)
-        if kernel.has_den:
-            le = label == Case.DEN_FRAC_LE
-            levels = kernel.lead[le] - (p[le] if p.ndim else p)
-            self.den_levels += np.bincount(levels, minlength=self.den_levels.size)
+        cell = pair_case.astype(np.intp) * self.fmt.total_bits + pos
+        if not kernel.has_den:
+            return cell, None
+        return cell, np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, -1)
 
-    def merge(self, other: "_MutableTally") -> None:
-        self.counts += other.counts
-        self.den_levels += other.den_levels
+    def add(self, kernel: FlipKernel, pos: int) -> None:
+        """Tally the flip of `pos` in every word of the kernel's batch."""
+        cell, level = self.cells(kernel, pos)
+        self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
+        if level is not None:
+            self.den_levels += np.bincount(level[level >= 0], minlength=self.den_levels.size)
+
+    def add_weighted(self, cell: np.ndarray, level: np.ndarray | None, weight: np.ndarray) -> None:
+        """Add `weight[i]` flips at `cell[i]` and `level[i]`, in exact int64."""
+        np.add.at(self.counts.reshape(-1), cell, weight)
+        if level is not None:
+            le = level >= 0
+            np.add.at(self.den_levels, level[le], weight[le])
 
     def freeze(self) -> FlipTally:
         w_f = self.fmt.fraction_bits
@@ -234,8 +249,12 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     """Run a seeded sampling campaign of uniform (word, position) flips.
 
     Work is split into fixed-size chunks with independent, index-derived
-    generator streams; tallies are summed over chunks, so worker count
-    affects wall time only, never the counts.
+    generator streams.  Each chunk returns the histogram of its lanes'
+    outcome keys with the smallest and largest word of each key; the
+    merge sums histograms and keeps the extremes, which no chunk order
+    changes, so worker count affects wall time only, never the counts.
+    At most `os.cpu_count()` threads run, and never more than chunks.
+    Raises RuntimeError if the two representatives of a key disagree.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -243,29 +262,54 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     n, step = config.sample_count, config.chunk_size
     chunks = [(c, min(step, n - c * step)) for c in range((n + step - 1) // step)]
 
-    def run_chunk(task: tuple[int, int]) -> _MutableTally:
+    def run_chunk(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         index, size = task
         seq = np.random.SeedSequence((config.seed, index))
         rng = np.random.Generator(np.random.Philox(seq))
         bits = sample_class_bits(fmt, cls, rng, size)
         pos = rng.integers(0, fmt.total_bits, size=size, dtype=np.uint64)
-        t = _MutableTally(fmt)
-        sign = pos == fmt.total_bits - 1
-        frac = pos < fmt.fraction_bits
-        for lanes in (sign, frac, ~(sign | frac)):
-            if lanes.any():
-                t.add(FlipKernel(fmt, bits[lanes]), pos[lanes])
-        return t
+        keys, width = outcome_key(fmt, cls, bits, pos)
+        n_keys = width * fmt.total_bits
+        lo = np.full(n_keys, np.iinfo(np.uint64).max, dtype=np.uint64)
+        hi = np.zeros(n_keys, dtype=np.uint64)
+        np.minimum.at(lo, keys, bits)
+        np.maximum.at(hi, keys, bits)
+        return np.bincount(keys, minlength=n_keys), lo, hi
 
-    total = _MutableTally(fmt)
-    if workers == 1:
-        for task in chunks:
-            total.merge(run_chunk(task))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t in pool.map(run_chunk, chunks):
-                total.merge(t)
-    return CampaignReport(config, total.freeze())
+    threads = min(workers, len(chunks), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = map(run_chunk, chunks) if threads == 1 else pool.map(run_chunk, chunks)
+        hist, lo, hi = next(parts)
+        for h, l, u in parts:
+            hist += h
+            np.minimum(lo, l, out=lo)
+            np.maximum(hi, u, out=hi)
+    return CampaignReport(config, _contract(fmt, hist, lo, hi).freeze())
+
+
+def _contract(fmt: FpFormat, hist: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _MutableTally:
+    """Tally a campaign's key histogram: run the kernel once per position on
+    the smallest and largest word of each key seen, check that both give
+    one outcome, and add that outcome as many times as the key was counted."""
+    t = _MutableTally(fmt)
+    width = hist.size // fmt.total_bits
+    for pos in range(fmt.total_bits):
+        keys = pos * width + np.flatnonzero(hist[pos * width : (pos + 1) * width])
+        if not keys.size:
+            continue
+        m = keys.size
+        cell, level = t.cells(FlipKernel(fmt, np.concatenate([lo[keys], hi[keys]])), pos)
+        same = cell[:m] == cell[m:]
+        if level is not None:
+            same &= level[:m] == level[m:]
+        if not same.all():
+            k = int(keys[np.argmin(same)])
+            raise RuntimeError(
+                f"outcome key {k} (position {pos}, flags {k % width}) gives two "
+                f"outcomes: words {int(lo[k]):#x} and {int(hi[k]):#x} disagree"
+            )
+        t.add_weighted(cell[:m], None if level is None else level[:m], hist[keys])
+    return t
 
 
 # ── exhaustive census ─────────────────────────────────────────────────────

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from flip754 import (
@@ -29,7 +31,9 @@ from flip754 import (
     sample_word,
     transition_matrix,
 )
-from conftest import PLANTED_FAULTS, SMALL_FORMATS, brute_census
+from flip754 import montecarlo
+from flip754._vector import Case, FlipKernel, enumerate_class, outcome_key
+from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, brute_census
 
 ORDER = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
 CENSUS_FORMATS = SMALL_FORMATS + [FpFormat(5, 10)]
@@ -144,11 +148,88 @@ def test_campaign_reproduces_pinned_tallies(case):
     assert list(tally.dyadic) == case["dyadic"]
 
 
+def _pinned_matches(case: dict) -> bool:
+    fmt = PINNED_FORMATS[case["format"]]
+    config = CampaignConfig(
+        fmt, FpClass(case["source_class"]), case["sample_count"],
+        seed=case["seed"], chunk_size=case["chunk_size"],
+    )
+    tally = run_campaign(config).tally
+    return (
+        [list(row) for row in tally.transitions] == case["transitions"]
+        and list(tally.buckets) == case["buckets"]
+        and list(tally.dyadic) == case["dyadic"]
+    )
+
+
+@pytest.mark.parametrize("fmt_name", ["binary16", "2,1"])
+@pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
+def test_campaign_catches_planted_faults(plant_fault, fault, fmt_name):
+    """Under each planted kernel fault some pinned campaign of the format
+    changes its tallies or raises: RuntimeError when two representatives
+    of a key disagree, IndexError when a faulty msb_index pushes a
+    denormal key past its histogram."""
+    cases = [c for c in PINNED if c["format"] == fmt_name]
+    if fault is not None:
+        plant_fault(fault, PINNED_FORMATS[fmt_name])
+    caught = []
+    for case in cases:
+        try:
+            if not _pinned_matches(case):
+                caught.append(case["source_class"])
+        except (RuntimeError, IndexError):
+            caught.append(case["source_class"])
+    assert bool(caught) == (fault is not None)
+
+
+def test_campaign_raises_when_the_key_misses_a_dependence(monkeypatch):
+    real = montecarlo.outcome_key
+
+    def without_zero_fraction_flag(fmt, cls, bits, pos):
+        key, width = real(fmt, cls, bits, pos)
+        return key & ~8, width  # normalized flag bit 3: f == 0
+
+    monkeypatch.setattr(montecarlo, "outcome_key", without_zero_fraction_flag)
+    config = CampaignConfig(BINARY16, FpClass.NORMALIZED, 1_000_000, seed=1)
+    with pytest.raises(RuntimeError, match=r"outcome key \d+ \(position \d+, flags \d+\)"):
+        run_campaign(config)
+
+
 def test_campaign_worker_count_does_not_change_tallies():
     config = CampaignConfig(
         BINARY64, FpClass.NORMALIZED, 5000, seed=7, chunk_size=512
     )
     assert run_campaign(config, workers=1) == run_campaign(config, workers=3)
+
+
+def test_campaign_caps_its_thread_pool(monkeypatch):
+    """At most one thread per CPU and per chunk; no thread is started here."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    config = CampaignConfig(BINARY16, FpClass.NORMALIZED, 10 * 512, seed=7, chunk_size=512)
+    two_chunks = CampaignConfig(BINARY16, FpClass.NORMALIZED, 1000, seed=7, chunk_size=512)
+    expected = run_campaign(config).tally
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    for workers in (5000, 3, 1):
+        assert run_campaign(config, workers=workers).tally == expected
+    run_campaign(two_chunks, workers=5000)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert run_campaign(config, workers=5000).tally == expected
+    assert sizes == [4, 3, 1, 2, 1]
 
 
 def test_campaign_seed_changes_tallies():
@@ -167,6 +248,74 @@ def test_campaign_config_validation():
         run_campaign(
             CampaignConfig(BINARY64, FpClass.NORMALIZED, 10, seed=1), workers=0
         )
+
+
+# ── the campaign's outcome key ────────────────────────────────────────────
+
+
+def _assert_key_sufficient(fmt: FpFormat, cls: FpClass, words: np.ndarray) -> None:
+    """Every key of (word, position) pairs of `cls` maps to one kernel
+    outcome: source class, destination class, case label, denormal level."""
+    kernel = FlipKernel(fmt, words)
+    keys, outcomes = [], []
+    for pos in range(fmt.total_bits):
+        label, _, dst = kernel.outcome(pos)
+        level = -1
+        if kernel.has_den:
+            level = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, -1)
+        pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label
+        outcomes.append(pair_case.astype(np.int64) * 128 + level + 1)
+        key, width = outcome_key(fmt, cls, words, np.full(words.size, pos, dtype=np.uint64))
+        keys.append(key)
+    key, outcome = np.concatenate(keys), np.concatenate(outcomes)
+    assert width * fmt.total_bits <= 8064
+    assert 0 <= key.min() and key.max() < width * fmt.total_bits
+    pairs = np.unique(np.stack([key, outcome]), axis=1)
+    shared = pairs[0][np.flatnonzero(np.diff(pairs[0]) == 0)]
+    assert shared.size == 0, f"{fmt.name} {cls.value}: keys {shared[:5]} have two outcomes"
+
+
+@pytest.mark.parametrize("fmt", TINY_FORMATS + [BINARY16], ids=lambda f: f.name)
+def test_outcome_key_is_sufficient(fmt):
+    for cls in ORDER:
+        _assert_key_sufficient(fmt, cls, np.concatenate(list(enumerate_class(fmt, cls))))
+
+
+@st.composite
+def _class_words(draw, fmt: FpFormat):
+    """A class and words of it: both signs times exponents times fractions,
+    so that words differing in one field share keys.  Each drawn field
+    value v brings siblings at the key's edges: 2^msb(v), and top ^ 2^msb(v)
+    for an exponent, 0 and v | 1 for a fraction."""
+    cls = draw(st.sampled_from(ORDER))
+    top, w_f = fmt.exponent_all_ones, fmt.fraction_bits
+
+    def msb_power(v: int) -> int:
+        return 1 << (v.bit_length() - 1)
+
+    if cls is FpClass.NORMALIZED:
+        drawn = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=3))
+        exps = {x for e in drawn for x in (e, msb_power(e), top ^ msb_power(e))} - {top}
+    else:
+        exps = {0 if cls is FpClass.DENORMALIZED else top}
+    fracs = {0}
+    if cls is not FpClass.INF:
+        drawn = draw(st.lists(st.integers(1, (1 << w_f) - 1), min_size=1, max_size=3))
+        fracs |= {x for f in drawn for x in (f, msb_power(f), f | 1)}
+        if cls is FpClass.NAN:
+            fracs.discard(0)
+    words = [
+        (s << (fmt.total_bits - 1)) | (e << w_f) | f for s in (0, 1) for e in exps for f in fracs
+    ]
+    return cls, np.array(words, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("fmt", [BINARY64, FpFormat(62, 1), FpFormat(30, 33)], ids=lambda f: f.name)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_outcome_key_is_sufficient_on_wide_formats(fmt, data):
+    cls, words = data.draw(_class_words(fmt))
+    _assert_key_sufficient(fmt, cls, words)
 
 
 # ── campaign against the closed forms ─────────────────────────────────────
