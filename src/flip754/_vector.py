@@ -99,15 +99,15 @@ def flip_bits(bits: np.ndarray, pos: np.ndarray | int) -> np.ndarray:
 def msb_index(values: np.ndarray) -> np.ndarray:
     """floor(log2(v)) per element for positive values; zeros give -1.
 
-    frexp on float64 is exact below 2^53; wider fractions take the
-    slow exact path through Python integers.
+    frexp on float64 is exact below 2^53.  Above, rounding to float64 can
+    carry v up to the next power of two, one too high and never more;
+    then v >> out is 0, and one is taken off.
     """
     v = np.asarray(values, dtype=np.uint64)
     _, exp = np.frexp(v.astype(np.float64))
     out = exp.astype(np.int64) - 1
-    if v.size and int(v.max()) >= (1 << 53):
-        big = v >= np.uint64(1 << 53)
-        out[big] = [int(x).bit_length() - 1 for x in v[big]]
+    shift = np.clip(out, 0, 63).astype(np.uint64)
+    out -= ((v >> shift) == 0) & (v != 0) | (out > 63)
     return out
 
 

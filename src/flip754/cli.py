@@ -19,6 +19,8 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
@@ -202,7 +204,8 @@ def _write_json(obj: object, stream: TextIO) -> None:
     anything else raises TypeError.  json.dump falls back to its
     pure-Python encoder whenever `indent` is set; this writer is about
     twice as fast.  Parts go to `stream` every `_FLUSH_PARTS` list items,
-    so the document never exists as one string.
+    so the document never exists as one string.  A `_JsonText` value is
+    text rendered elsewhere: its parts go to `stream` in its place.
     """
     out: list[str] = []
     append = out.append
@@ -249,11 +252,61 @@ def _write_json(obj: object, stream: TextIO) -> None:
             append(nl + "]")
         elif isinstance(o, str):
             append(_encode_str(o))
+        elif isinstance(o, _JsonText):
+            stream.write("".join(out))
+            out.clear()
+            for part in o.parts(nl):
+                stream.write(part)
         else:
             append(_scalar_text(o))
 
     value(obj, "\n")
     stream.write("".join(out))
+
+
+@dataclass(frozen=True)
+class _JsonText:
+    """A value `_write_json` does not walk: `parts(nl)` yields its JSON text.
+
+    nl is a newline and the value's own indent, as `_write_json` passes it.
+    """
+
+    parts: Callable[[str], Iterable[str]]
+
+
+def _event_json(chunks: Iterable[list[tuple]], nl: str) -> Iterator[str]:
+    """The events of an inject payload as `_write_json` writes their list.
+
+    `chunks` are `InjectionSummary.event_rows`; one part is yielded per
+    chunk.  Every event has the same seven keys, and its error either
+    `kind` alone or four keys, so one template per error shape gives the
+    writer's sorted keys and indents.  Every string in a row is made of
+    letters, digits and "/.+-", which JSON writes unescaped.
+    """
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    k, e = "," + i2, "," + i3  # between an event's keys, between its error's keys
+    sep = "[" + i1
+    for rows in chunks:
+        parts = []
+        for i, p, b, a, cb, ca, err in rows:
+            if len(err) == 1:
+                error = f'{{{i3}"kind": "{err[0]}"{i2}}}'
+            else:
+                kind, ratio, dec, log2 = err
+                error = (
+                    f'{{{i3}"decimal": "{dec}"{e}"kind": "{kind}"{e}"log2": {log2!r}'
+                    f'{e}"ratio": "{ratio}"{i2}}}'
+                )
+            parts.append(
+                f'{sep}{{{i2}"after": "{a}"{k}"before": "{b}"{k}"bit": {p}'
+                f'{k}"class_after": "{ca}"{k}"class_before": "{cb}"'
+                f'{k}"error": {error}{k}"word_index": {i}{i1}}}'
+            )
+            sep = "," + i1
+        yield "".join(parts)
+    yield "[]" if sep[0] == "[" else nl + "]"
 
 
 def _scalar_text(o: object) -> str:
@@ -468,7 +521,10 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
         count=args.count,
         endian=args.endian,
     )
-    _emit(fmt, "inject", summary.to_payload(args.digits))
+    payload = summary.header_payload()
+    rows = summary.event_rows(args.digits)
+    payload["events"] = _JsonText(lambda nl: _event_json(rows, nl))
+    _emit(fmt, "inject", payload)
     return EXIT_OK
 
 

@@ -11,24 +11,36 @@ Two injection modes, both seeded and reproducible:
   replacement and applied in draw order, so a site drawn twice flips
   twice and the second event records the once-flipped word.
 
-Events are applied as arrays: a stable sort by word index groups each
-word's flips in event order, an XOR prefix over their masks gives the
-word every event saw, and `np.bitwise_xor.at` writes the output words.
+Every event is drawn before any word is read, from the word count
+alone.  The stream is then read, flipped and written `WORD_CHUNK` words
+at a time: a stable sort by word index groups each word's flips in event
+order, `searchsorted` cuts the groups at chunk edges, an XOR prefix over
+a chunk's masks gives the word every event saw, and
+`np.bitwise_xor.at` flips the chunk.  `inject_words` on an array is the
+one-chunk case of the same loop.
+
 The summary keeps the events as four column arrays (word index, bit,
-word before, word after) in application order; the payload takes the
-classes from them as arrays and each exact relative error on integers.
+word before, word after) in application order.  `event_rows` renders
+them `EVENT_CHUNK` rows at a time, classes as arrays and each exact
+relative error on integers; the CLI writes those rows straight into its
+JSON, and `to_payload` builds its dicts from them.  So memory is bounded
+by the event columns plus one chunk, whatever the file size.
 """
 
 from __future__ import annotations
 
+import os
+import stat
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from ._vector import CLASS_ORDER, classify_codes
 from .formats import FpClass, FpFormat, Word
-from .relerr import error_payload
+from .relerr import ERROR_KEYS, error_values
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
@@ -46,6 +58,8 @@ __all__ = [
 ]
 
 INJECT_SCHEMA = "flip754/inject-v1"
+WORD_CHUNK = 1 << 16  # words `inject_file` reads, flips and writes at a time
+EVENT_CHUNK = 4096  # events `InjectionSummary.event_rows` renders at a time
 
 
 def _word_bytes(fmt: FpFormat) -> int:
@@ -156,33 +170,21 @@ class InjectionSummary:
         return self.word_count * self.fmt.total_bits
 
     def transition_counts(self) -> dict[FpClass, dict[FpClass, int]]:
-        return _transition_grid(*self._class_codes())
+        k = len(CLASS_ORDER)
+        grid = np.zeros(k * k, dtype=np.int64)
+        for lo in range(0, self.word_index.size, EVENT_CHUNK):
+            src, dst = self._class_codes(slice(lo, lo + EVENT_CHUNK))
+            grid += np.bincount(src * k + dst, minlength=k * k)
+        rows = grid.reshape(k, k).tolist()
+        return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, rows)}
 
-    def _class_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """CLASS_ORDER codes of every event's before- and after-word."""
-        return classify_codes(self.fmt, self.before), classify_codes(self.fmt, self.after)
-
-    def to_payload(self, digits: int = 5) -> dict:
-        src, dst = self._class_codes()
-        names = [cls.value for cls in CLASS_ORDER]
+    def _class_codes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """CLASS_ORDER codes of the before- and after-words of some events."""
         fmt = self.fmt
-        hex_digits = fmt.hex_digits
-        events = [
-            {
-                "word_index": i,
-                "bit": p,
-                "before": f"0x{b:0{hex_digits}X}",
-                "after": f"0x{a:0{hex_digits}X}",
-                "class_before": names[cb],
-                "class_after": names[ca],
-                "error": error_payload(fmt, b, p, digits),
-            }
-            for i, p, b, a, cb, ca in zip(
-                self.word_index.tolist(), self.position.tolist(),
-                self.before.tolist(), self.after.tolist(),
-                src.tolist(), dst.tolist(),
-            )
-        ]
+        return classify_codes(fmt, self.before[rows]), classify_codes(fmt, self.after[rows])
+
+    def header_payload(self) -> dict:
+        """`to_payload` without its `events`: the settings, counts and transitions."""
         return {
             "schema": INJECT_SCHEMA,
             "mode": self.mode,
@@ -192,19 +194,62 @@ class InjectionSummary:
             "endian": self.endian,
             "word_count": self.word_count,
             "site_count": self.site_count,
-            "event_count": len(events),
+            "event_count": int(self.word_index.size),
             "transitions": {
                 a.value: {b.value: n for b, n in row.items()}
-                for a, row in _transition_grid(src, dst).items()
+                for a, row in self.transition_counts().items()
             },
-            "events": events,
         }
 
+    def event_rows(self, digits: int = 5) -> Iterator[list[tuple]]:
+        """The events in application order, `EVENT_CHUNK` rows at a time.
 
-def _transition_grid(src: np.ndarray, dst: np.ndarray) -> dict[FpClass, dict[FpClass, int]]:
-    k = len(CLASS_ORDER)
-    grid = np.bincount(src * k + dst, minlength=k * k).reshape(k, k).tolist()
-    return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, grid)}
+        A row is (word_index, bit, before, after, class_before,
+        class_after, error): the words as hex, the class names, and the
+        error as `relerr.error_values`, in `relerr.ERROR_KEYS` order.
+        This is the one place an event's printed content is made.
+        """
+        fmt = self.fmt
+        hex_spec = f"0{fmt.hex_digits}X"
+        names = [cls.value for cls in CLASS_ORDER]
+        for lo in range(0, self.word_index.size, EVENT_CHUNK):
+            rows = slice(lo, lo + EVENT_CHUNK)
+            src, dst = self._class_codes(rows)
+            yield [
+                (
+                    i, p, f"0x{b:{hex_spec}}", f"0x{a:{hex_spec}}",
+                    names[cb], names[ca], error_values(fmt, b, p, digits),
+                )
+                for i, p, b, a, cb, ca in zip(
+                    self.word_index[rows].tolist(), self.position[rows].tolist(),
+                    self.before[rows].tolist(), self.after[rows].tolist(),
+                    src.tolist(), dst.tolist(),
+                )
+            ]
+
+    def to_payload(self, digits: int = 5) -> dict:
+        """The `inject` payload as one dict, with every event as a dict.
+
+        The CLI prints the same content without building it: it writes
+        `header_payload` and renders `event_rows` into its output a chunk
+        at a time.  This form holds every event at once.
+        """
+        return {
+            **self.header_payload(),
+            "events": [
+                {
+                    "word_index": i,
+                    "bit": p,
+                    "before": b,
+                    "after": a,
+                    "class_before": cb,
+                    "class_after": ca,
+                    "error": dict(zip(ERROR_KEYS, err)),
+                }
+                for rows in self.event_rows(digits)
+                for i, p, b, a, cb, ca, err in rows
+            ],
+        }
 
 
 def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:
@@ -223,43 +268,22 @@ def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarra
     return chosen
 
 
-def _apply_events(
-    out: np.ndarray, idx: np.ndarray, bit: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """XOR every event's mask into `out`; returns each event's word before and after.
-
-    Events are in application order.  Within one word, the word an event
-    saw is the input word XOR the masks of that word's earlier events.
-    """
-    masks = np.left_shift(np.uint64(1), bit.astype(np.uint64))
-    order = np.argsort(idx, kind="stable")
-    word, grouped = idx[order], masks[order]
-    prefix = np.bitwise_xor.accumulate(grouped) ^ grouped  # exclusive XOR prefix
-    first = np.searchsorted(word, word)  # where each word's group starts
-    before = np.empty_like(masks)
-    before[order] = out[word] ^ prefix ^ prefix[first]
-    np.bitwise_xor.at(out, idx, masks)
-    return before, before ^ masks
-
-
-def inject_words(
-    words: np.ndarray,
+def _draw(
     fmt: FpFormat,
+    endian: str,
+    n_words: int,
     *,
     seed: int,
-    rate: float | None = None,
-    count: int | None = None,
-    endian: str = "little",
-) -> tuple[np.ndarray, InjectionSummary]:
-    """Apply seeded random flips to a word array; returns (new array, summary).
+    rate: float | None,
+    count: int | None,
+) -> InjectionSummary:
+    """Draw every event of a run over `n_words` words.
 
-    Exactly one of `rate` and `count` must be given.  The input array is
-    not modified.
+    The summary's `before` and `after` columns are left unfilled, for
+    `_flip_chunks` to fill while it applies the events.
     """
     if (rate is None) == (count is None):
         raise ValueError("give exactly one of rate and count")
-    out = np.array(words, dtype=np.uint64, copy=True)
-    n_words = int(out.size)
     w = fmt.total_bits
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -282,8 +306,7 @@ def inject_words(
         bit = rng.integers(0, w, size=count, dtype=np.int64)
         mode = "count"
 
-    before, after = _apply_events(out, idx, bit)
-    summary = InjectionSummary(
+    return InjectionSummary(
         fmt=fmt,
         endian=endian,
         word_count=n_words,
@@ -293,9 +316,58 @@ def inject_words(
         requested=count,
         word_index=idx,
         position=bit,
-        before=before,
-        after=after,
+        before=np.empty(idx.size, dtype=np.uint64),
+        after=np.empty(idx.size, dtype=np.uint64),
     )
+
+
+def _flip_chunks(
+    chunks: Iterable[np.ndarray], summary: InjectionSummary
+) -> Iterator[np.ndarray]:
+    """Apply the summary's events to a stream read as consecutive word chunks.
+
+    Yields each chunk once its events are XORed into it in place, and
+    fills the summary's `before` and `after` columns.  Events are in
+    application order; within one word, the word an event saw is the
+    chunk's word XOR the masks of that word's earlier events.
+    """
+    idx = summary.word_index
+    masks = np.left_shift(np.uint64(1), summary.position.astype(np.uint64))
+    order = np.argsort(idx, kind="stable")  # each word's events, in order
+    word = idx[order]
+    lo = start = 0
+    for chunk in chunks:
+        stop = start + chunk.size
+        hi = int(np.searchsorted(word, stop))
+        rows = order[lo:hi]
+        here, m = word[lo:hi] - start, masks[rows]
+        prefix = np.bitwise_xor.accumulate(m) ^ m  # exclusive XOR prefix
+        first = np.searchsorted(here, here)  # where each word's group starts
+        before = chunk[here] ^ prefix ^ prefix[first]
+        summary.before[rows] = before
+        summary.after[rows] = before ^ m
+        np.bitwise_xor.at(chunk, here, m)
+        yield chunk
+        lo, start = hi, stop
+
+
+def inject_words(
+    words: np.ndarray,
+    fmt: FpFormat,
+    *,
+    seed: int,
+    rate: float | None = None,
+    count: int | None = None,
+    endian: str = "little",
+) -> tuple[np.ndarray, InjectionSummary]:
+    """Apply seeded random flips to a word array; returns (new array, summary).
+
+    Exactly one of `rate` and `count` must be given.  The input array is
+    not modified.
+    """
+    out = np.array(words, dtype=np.uint64, copy=True)
+    summary = _draw(fmt, endian, int(out.size), seed=seed, rate=rate, count=count)
+    (out,) = _flip_chunks([out], summary)
     return out, summary
 
 
@@ -309,10 +381,49 @@ def inject_file(
     count: int | None = None,
     endian: str = "little",
 ) -> InjectionSummary:
-    """Read a stream, inject flips, write the result; returns the summary."""
-    words = read_words(in_path, fmt, endian)
-    flipped, summary = inject_words(
-        words, fmt, seed=seed, rate=rate, count=count, endian=endian
-    )
-    write_words(out_path, flipped, fmt, endian)
+    """Read a stream, inject flips, write the result; returns the summary.
+
+    The same run as `inject_words` on the whole stream, read, flipped and
+    written `WORD_CHUNK` words at a time.  The input must be a regular
+    file, whose size gives the word count before any word is read.
+    `out_path` may name the input itself, which is then rewritten in place.
+    """
+    nb = _layout(fmt, endian)[0]
+    with open(in_path, "rb") as src:
+        info = os.fstat(src.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"{in_path}: the input stream must be a regular file")
+        if info.st_size % nb:
+            raise ValueError(
+                f"stream length {info.st_size} is not a multiple of the "
+                f"{nb}-byte word size"
+            )
+        summary = _draw(
+            fmt, endian, info.st_size // nb, seed=seed, rate=rate, count=count
+        )
+        in_place = _same_file(info, out_path)
+        chunks = _read_chunks(src, summary.word_count, fmt, endian)
+        with open(out_path, "r+b" if in_place else "wb") as dst:
+            for chunk in _flip_chunks(chunks, summary):
+                dst.write(words_to_bytes(chunk, fmt, endian))
     return summary
+
+
+def _same_file(info: os.stat_result, path: str | Path) -> bool:
+    try:
+        return os.path.samestat(info, os.stat(path))
+    except FileNotFoundError:
+        return False
+
+
+def _read_chunks(
+    src: BinaryIO, n_words: int, fmt: FpFormat, endian: str
+) -> Iterator[np.ndarray]:
+    """The first n_words words of `src`, `WORD_CHUNK` at a time."""
+    nb = _word_bytes(fmt)
+    for start in range(0, n_words, WORD_CHUNK):
+        want = min(WORD_CHUNK, n_words - start) * nb
+        data = src.read(want)
+        if len(data) != want:
+            raise ValueError("the input stream shrank while it was read")
+        yield words_from_bytes(data, fmt, endian)

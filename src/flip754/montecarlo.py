@@ -374,9 +374,9 @@ def exhaustive_census(
 class ComparisonCell:
     """One model quantity set against its observed count.
 
-    `z` is None for exact (census) comparisons and for zero-probability
-    cells; `passed` is None when the cell was skipped as unresolvable at
-    the campaign's sample size.
+    `z` is None for exact (census) comparisons and for cells of
+    probability 0 or 1; `passed` is None when the cell was skipped as
+    unresolvable at the campaign's sample size.
     """
 
     name: str
@@ -443,10 +443,10 @@ def compare(
 
     Census counts must reproduce every probability exactly as rationals.
     Campaign counts must sit within `sigma` binomial standard deviations
-    of expectation; cells with 0 < p <= min_p are skipped as unresolvable,
-    and zero-probability cells must have a zero count.  For normalized
-    sources the error buckets and the dyadic CDF are judged alongside
-    the class transitions.
+    of expectation; cells with p or 1 - p in (0, min_p] are skipped as
+    unresolvable, and cells with p = 0 or p = 1 must count no case or
+    every case.  For normalized sources the error buckets and the dyadic
+    CDF are judged alongside the class transitions.
     """
     if matrix.fmt != report.fmt:
         raise ValueError("matrix and report describe different formats")
@@ -461,7 +461,9 @@ def compare(
             return ComparisonCell(name, p, count, n, None, Fraction(count, n) == p)
         if p == 0:
             return ComparisonCell(name, p, count, n, None, count == 0)
-        if p <= min_p:
+        if p == 1:
+            return ComparisonCell(name, p, count, n, None, count == n)
+        if p <= min_p or 1 - p <= min_p:
             return ComparisonCell(name, p, count, n, None, None)
         sd = sqrt(n * float(p) * (1.0 - float(p)))
         z = (count - n * float(p)) / sd

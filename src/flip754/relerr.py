@@ -62,6 +62,7 @@ __all__ = [
     "SweepReport",
     "relative_error",
     "error_ratio",
+    "error_values",
     "error_payload",
     "normalized_error_interval",
     "denormal_error_interval",
@@ -137,21 +138,24 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
     return ErrorKind.FINITE, diff // g, m // g
 
 
-def error_payload(fmt: FpFormat, bits: int, pos: int, digits: int) -> dict:
-    """The JSON form of `error_ratio`, as `flip` and `inject` print it.
+ERROR_KEYS = ("kind", "ratio", "decimal", "log2")
 
-    The kind alone, or for FINITE also the exact ratio, its decimal with
-    `digits` significant digits, and its log2.
+
+def error_values(fmt: FpFormat, bits: int, pos: int, digits: int) -> tuple:
+    """The values of `error_payload`, in `ERROR_KEYS` order.
+
+    (kind,) alone, or for FINITE (kind, ratio, decimal, log2): the exact
+    ratio, its decimal with `digits` significant digits, and its log2.
     """
     kind, n, d = error_ratio(fmt, bits, pos)
     if kind is not ErrorKind.FINITE:
-        return {"kind": kind.value}
-    return {
-        "kind": kind.value,
-        "ratio": ratio_text(n, d),
-        "decimal": decimal_text(n, d, digits),
-        "log2": log2_ratio(n, d),
-    }
+        return (kind.value,)
+    return kind.value, ratio_text(n, d), decimal_text(n, d, digits), log2_ratio(n, d)
+
+
+def error_payload(fmt: FpFormat, bits: int, pos: int, digits: int) -> dict:
+    """The JSON form of `error_ratio`, as `flip` prints it and `inject` renders it."""
+    return dict(zip(ERROR_KEYS, error_values(fmt, bits, pos, digits)))
 
 
 # ── closed-form intervals ─────────────────────────────────────────────────

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -10,8 +11,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -20,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flip754
+from flip754 import cli, fileio
 from flip754.cli import ENVELOPE_SCHEMA, PAYLOAD_SCHEMAS, _write_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -427,6 +433,156 @@ def test_inject_is_deterministic(capsys, tmp_path):
     )
     assert out_a.read_bytes() == out_b.read_bytes()
     assert doc_a["payload"]["events"] == doc_b["payload"]["events"]
+
+
+# ── inject rendering ──────────────────────────────────────────────────────
+#
+# The CLI renders inject events from the summary's columns while it
+# writes; `to_payload` builds the same events as dicts.  Written by
+# `_write_json`, that dict form is the reference for every byte.
+
+
+def reference_inject_stdout(words, fmt, digits, **draw) -> str:
+    _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
+    doc = {
+        "schema": cli.CLI_SCHEMA,
+        "command": "inject",
+        "format": cli._format_payload(fmt),
+        "payload": summary.to_payload(digits),
+    }
+    return written(doc) + "\n"
+
+
+def cli_inject_stdout(directory, spec, words, digits, endian, **draw) -> str:
+    fmt = cli._parse_format(spec)
+    stream, out = Path(directory) / "in.bin", Path(directory) / "out.bin"
+    stream.write_bytes(flip754.words_to_bytes(np.array(words, dtype=np.uint64), fmt, endian))
+    argv = ["inject", "--format", spec, "--in", str(stream), "--out", str(out),
+            "--digits", str(digits), "--endian", endian, "--seed", str(draw["seed"])]
+    argv += ["--rate", repr(draw["rate"])] if "rate" in draw else ["--count", str(draw["count"])]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def class_words(fmt):
+    """Words of every source class: normalized, denormal, zero, NaN, Inf."""
+    top, fmask = fmt.exponent_all_ones, fmt.fraction_mask
+
+    def compose(sign, e, f):
+        return (sign << (fmt.total_bits - 1)) | (e << fmt.fraction_bits) | f
+
+    sign = st.integers(0, 1)
+    return st.one_of(
+        st.builds(compose, sign, st.integers(1, top - 1), st.integers(0, fmask)),
+        st.builds(compose, sign, st.sampled_from([0, top]), st.integers(0, fmask)),
+        st.builds(compose, sign, st.sampled_from([0, top]), st.just(0)),
+    )
+
+
+# Whole-byte formats for the CLI, with hex widths of 2, 4, 6, 8 and 16 digits.
+INJECT_SPECS = ["binary16", "binary32", "binary64", "3,4", "2,5", "6,17", "4,11"]
+
+
+@st.composite
+def inject_cases(draw, specs=INJECT_SPECS):
+    spec = draw(st.sampled_from(specs))
+    fmt = cli._parse_format(spec)
+    pool = draw(st.lists(class_words(fmt), min_size=1, max_size=5))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))  # repeats
+    if draw(st.booleans()):
+        mode = {"rate": draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))}
+    else:
+        mode = {"count": draw(st.integers(0, 40))}
+    return spec, words, draw(st.integers(1, 17)), draw(st.sampled_from(["little", "big"])), {
+        "seed": draw(st.integers(0, 2**32)), **mode,
+    }
+
+
+@given(inject_cases(), st.sampled_from([1, 2, 3, 5, fileio.WORD_CHUNK]),
+       st.sampled_from([1, 2, 3, 7, fileio.EVENT_CHUNK]))
+@settings(max_examples=150, deadline=None)
+def test_inject_stdout_matches_the_dict_reference(case, word_chunk, event_chunk):
+    # Small word and event chunks put chunk edges between events on
+    # neighbouring words and make counts of chunk - 1, chunk and chunk + 1 common.
+    spec, words, digits, endian, draw = case
+    fmt = cli._parse_format(spec)
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(fileio, "WORD_CHUNK", word_chunk), \
+            mock.patch.object(fileio, "EVENT_CHUNK", event_chunk):
+        got = cli_inject_stdout(directory, spec, words, digits, endian, **draw)
+        assert got == reference_inject_stdout(words, fmt, digits, endian=endian, **draw)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_inject_stdout_matches_the_dict_reference_at_the_event_chunk(tmp_path, offset):
+    count = fileio.EVENT_CHUNK + offset
+    words = [0x3FF0000000000000, 0x0000000000000003, 0x7FF0000000000000, 0]
+    got = cli_inject_stdout(tmp_path, "binary64", words, 7, "little", seed=4, count=count)
+    assert got == reference_inject_stdout(words, flip754.BINARY64, 7, seed=4, count=count)
+    payload = json.loads(got)["payload"]
+    assert payload["event_count"] == count
+    # The transitions, summed a chunk at a time, against the events' own classes.
+    pairs = Counter((ev["class_before"], ev["class_after"]) for ev in payload["events"])
+    transitions = payload["transitions"]
+    assert {(a, b): n for a, row in transitions.items() for b, n in row.items() if n} == pairs
+
+
+@given(inject_cases(["3,2", "2,1", "5,2"]))
+@settings(max_examples=60, deadline=None)
+def test_event_rendering_matches_the_dict_reference_on_narrow_formats(case):
+    # Words narrower than a byte cannot be streamed; render their events
+    # through the writer directly, with 1- and 2-digit hex.
+    spec, words, digits, endian, draw = case
+    fmt = cli._parse_format(spec)
+    _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
+    rows = summary.event_rows(digits)
+    payload = {**summary.header_payload(),
+               "events": cli._JsonText(lambda nl: cli._event_json(rows, nl))}
+    assert written(payload) == written(summary.to_payload(digits))
+
+
+def inject_emit_peak(directory, count) -> int:
+    """Traced peak bytes from the end of `inject_file` to the end of the CLI run.
+
+    The summary's columns already exist at the start, so only what the
+    payload and the writer allocate counts.
+    """
+    stream, out = Path(directory) / "in.bin", Path(directory) / "out.bin"
+    stream.write_bytes(struct.pack("<64d", *[1.5 ** i for i in range(64)]))
+    base = []
+
+    def inject_then_mark(*args, **kwargs):
+        summary = fileio.inject_file(*args, **kwargs)
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+        return summary
+
+    argv = ["inject", "--in", str(stream), "--out", str(out), "--count", str(count)]
+    with mock.patch.object(cli, "inject_file", inject_then_mark), \
+            open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak - base[0]
+
+
+def test_inject_emit_memory_does_not_grow_with_the_event_count(tmp_path):
+    small = inject_emit_peak(tmp_path, fileio.EVENT_CHUNK)
+    large = inject_emit_peak(tmp_path, 8 * fileio.EVENT_CHUNK)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_sample_judges_near_certain_cells_without_dividing_by_zero(capsys):
+    # On 62,1 staying normalized has p = 1 - 31/2^67, and float(p) is 1.
+    doc = run_json(capsys, "sample", "--format", "62,1", "--n", "30000", "--seed", "5")
+    cells = {c["name"]: c for c in doc["payload"]["comparison"]["cells"]}
+    assert cells["to_normalized"]["passed"] is None
+    assert doc["payload"]["comparison"]["passed"] is True
 
 
 def test_census_reports_all_classes_and_passes(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from flip754 import (
     words_to_bytes,
     write_words,
 )
+from flip754 import fileio
 from flip754.fileio import _distinct_sites
 
 THREE_BYTE = FpFormat(6, 17)  # 24-bit words
@@ -264,6 +266,47 @@ def test_inject_file_matches_in_memory_run(tmp_path):
     direct_out, direct_summary = inject_words(words, BINARY64, seed=77, count=10)
     assert summary == direct_summary
     assert (read_words(dst, BINARY64) == direct_out).all()
+
+
+@pytest.mark.parametrize(
+    "chunk,n_words", [(1, 7), (3, 20), (8, 21), (fileio.WORD_CHUNK, 2 * fileio.WORD_CHUNK + 3)]
+)
+@pytest.mark.parametrize("mode", ["rate", "count"])
+def test_inject_file_streams_chunks_like_one_array(tmp_path, monkeypatch, chunk, n_words, mode):
+    # Several chunks of binary16 words, with events on both words at some
+    # chunk edge: the file run equals the run on the whole array.
+    monkeypatch.setattr(fileio, "WORD_CHUNK", chunk)
+    fmt = FpFormat(5, 10)
+    words = np.random.default_rng(n_words).integers(0, 1 << 16, size=n_words, dtype=np.uint64)
+    draw = {"rate": 0.2} if mode == "rate" else {"count": 2 * n_words}
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    write_words(src, words, fmt, "big")
+    summary = inject_file(src, dst, fmt, seed=21, endian="big", **draw)
+    direct_out, direct = inject_words(words, fmt, seed=21, endian="big", **draw)
+    assert summary == direct
+    assert dst.read_bytes() == words_to_bytes(direct_out, fmt, "big")
+    hit = set(summary.word_index.tolist())
+    assert any(e - 1 in hit and e in hit for e in range(chunk, n_words, chunk))
+
+
+def test_inject_file_may_rewrite_its_input(tmp_path):
+    path = tmp_path / "stream.bin"
+    words = np.arange(1, 50, dtype=np.uint64) << np.uint64(40)
+    write_words(path, words, BINARY64)
+    direct_out, direct = inject_words(words, BINARY64, seed=3, rate=0.05)
+    assert inject_file(path, path, BINARY64, seed=3, rate=0.05) == direct
+    assert (read_words(path, BINARY64) == direct_out).all()
+
+
+def test_inject_file_validates_the_stream(tmp_path):
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(bytes(12))
+    with pytest.raises(ValueError, match="not a multiple of the 8-byte word size"):
+        inject_file(src, dst, BINARY64, seed=1, count=1)
+    with pytest.raises(ValueError, match="regular file"):
+        inject_file(os.devnull, dst, BINARY64, seed=1, count=1)
+    with pytest.raises(OSError):
+        inject_file(tmp_path / "missing.bin", dst, BINARY64, seed=1, count=1)
 
 
 def test_summaries_that_differ_in_one_event_are_unequal():

@@ -30,6 +30,7 @@ from flip754 import (
     run_campaign,
     sample_word,
     transition_matrix,
+    TransitionMatrix,
 )
 from flip754 import montecarlo
 from flip754._vector import Case, FlipKernel, enumerate_class, outcome_key
@@ -353,8 +354,10 @@ def test_minuscule_probabilities_are_skipped_not_judged():
     # both rare escapes fall below the floor; the common cells are judged
     assert "to_inf" in skipped
     assert "to_nan" in skipped
-    assert "to_normalized" not in skipped
     assert "err_le_half" not in skipped
+    assert "err_ge_one" not in skipped
+    # staying normalized misses certainty by 1.7e-4, below the floor too
+    assert "to_normalized" in skipped
     assert verdict.passed
 
 
@@ -403,6 +406,36 @@ def test_zero_probability_cell_requires_zero_count():
     cell = {c.name: c for c in verdict.cells}["to_inf"]
     assert cell.z is None and cell.passed is False
     assert not verdict.passed
+
+
+@pytest.mark.parametrize("observed,passed", [(1000, True), (999, False)])
+def test_certain_cell_is_judged_exactly(observed, passed):
+    # A model where every flip of a NaN stays NaN: p = 1 has no spread, so
+    # the count must be every case, as a zero cell's count must be 0.
+    fmt = FpFormat(3, 2)
+    entries = dict(transition_matrix(fmt).entries)
+    for dst in ORDER:
+        entries[(FpClass.NAN, dst)] = Fraction(int(dst is FpClass.NAN))
+    report = run_campaign(CampaignConfig(fmt, FpClass.NAN, 1000, seed=0))
+    rows = [[0] * 4 for _ in ORDER]
+    rows[2][2], rows[2][0] = observed, 1000 - observed
+    tally = FlipTally(tuple(map(tuple, rows)), report.tally.buckets, report.tally.dyadic)
+    verdict = compare(TransitionMatrix(fmt, entries), CampaignReport(report.config, tally))
+    cell = {c.name: c for c in verdict.cells}["to_nan"]
+    assert cell.expected == 1 and cell.z is None and cell.passed is passed
+    assert verdict.passed is passed
+
+
+def test_near_certain_cell_is_skipped_like_a_rare_one():
+    # On 62,1 a normalized flip stays normalized with p = 1 - 31/2^67, which
+    # float(p) rounds to 1: the binomial spread is below resolution.
+    fmt = FpFormat(62, 1)
+    report = run_campaign(CampaignConfig(fmt, FpClass.NORMALIZED, 30_000, seed=5))
+    verdict = compare(transition_matrix(fmt), report)
+    cell = {c.name: c for c in verdict.cells}["to_normalized"]
+    assert 0 < 1 - cell.expected <= verdict.min_p
+    assert cell.z is None and cell.passed is None
+    assert verdict.passed
 
 
 # ── sampling and payloads ─────────────────────────────────────────────────
