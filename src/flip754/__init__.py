@@ -53,7 +53,7 @@ from .formats import (
     word_from_float,
     word_to_float,
 )
-from .inject import TransitionRecord, all_flips, flip_bit, random_flip, transition
+from .inject import TransitionRecord, flip_bit, transition
 from .montecarlo import (
     CampaignConfig,
     CampaignReport,
@@ -64,7 +64,6 @@ from .montecarlo import (
     compare,
     exhaustive_census,
     run_campaign,
-    sample_word,
 )
 from .rationals import decimal_str, floor_log2, log2_value, parse_rational, ratio_str
 from .relerr import (
@@ -92,7 +91,7 @@ __all__ = [
     "first_nonzero_fraction_entry", "class_size", "parse_hex_word",
     "word_from_float", "word_to_float", "encode_nearest",
     # injection primitives
-    "TransitionRecord", "flip_bit", "transition", "all_flips", "random_flip",
+    "TransitionRecord", "flip_bit", "transition",
     # relative errors
     "ErrorKind", "RelativeError", "ErrorInterval", "CheckStatus",
     "BoundsCheck", "SweepReport", "relative_error",
@@ -105,7 +104,7 @@ __all__ = [
     "tolerance_table",
     # sampling and census
     "CampaignConfig", "CampaignReport", "CensusReport", "ComparisonCell",
-    "ComparisonReport", "FlipTally", "sample_word", "run_campaign",
+    "ComparisonReport", "FlipTally", "run_campaign",
     "exhaustive_census", "compare",
     # streams
     "InjectionEvent", "InjectionSummary", "words_from_bytes",

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .formats import FpClass, FpFormat
+from .formats import FpClass, FpFormat, _class_fields
 
 # Fixed class order shared by transition matrices, reports, and tallies.
 CLASS_ORDER: tuple[FpClass, ...] = (
@@ -238,45 +238,18 @@ def enumerate_class(
     fmt: FpFormat, cls: FpClass, chunk_size: int = 1 << 18
 ) -> Iterator[np.ndarray]:
     """Yield every word of `cls` in ascending order, in uint64 chunks."""
-    w_f = fmt.fraction_bits
-    n_frac = 1 << w_f
-    top = fmt.exponent_all_ones
-
-    def compose(s: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return (
-            (s.astype(np.uint64) << np.uint64(fmt.total_bits - 1))
-            | (e.astype(np.uint64) << np.uint64(w_f))
-            | f.astype(np.uint64)
+    e0, n_e, f0, n_f = _class_fields(fmt, cls)
+    per_sign = n_e * n_f
+    total = 2 * per_sign
+    for start in range(0, total, chunk_size):
+        idx = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
+        s, rem = np.divmod(idx, np.uint64(per_sign))
+        e, f = np.divmod(rem, np.uint64(n_f))
+        yield (
+            (s << np.uint64(fmt.total_bits - 1))
+            | ((e + np.uint64(e0)) << np.uint64(fmt.fraction_bits))
+            | (f + np.uint64(f0))
         )
-
-    if cls is FpClass.NORMALIZED:
-        n_exp = top - 1
-        total = 2 * n_exp * n_frac
-        for start in range(0, total, chunk_size):
-            idx = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
-            s = idx // np.uint64(n_exp * n_frac)
-            rem = idx % np.uint64(n_exp * n_frac)
-            e = np.uint64(1) + rem // np.uint64(n_frac)
-            f = rem % np.uint64(n_frac)
-            yield compose(s, e, f)
-    elif cls is FpClass.DENORMALIZED:
-        total = 2 * n_frac
-        for start in range(0, total, chunk_size):
-            idx = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
-            s = idx // np.uint64(n_frac)
-            f = idx % np.uint64(n_frac)
-            yield compose(s, np.zeros_like(idx), f)
-    elif cls is FpClass.NAN:
-        total = 2 * (n_frac - 1)
-        for start in range(0, total, chunk_size):
-            idx = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
-            s = idx // np.uint64(n_frac - 1)
-            f = np.uint64(1) + idx % np.uint64(n_frac - 1)
-            yield compose(s, np.full_like(idx, top), f)
-    else:
-        s = np.array([0, 1], dtype=np.uint64)
-        e = np.full(2, top, dtype=np.uint64)
-        yield compose(s, e, np.zeros(2, dtype=np.uint64))
 
 
 def sample_class_bits(

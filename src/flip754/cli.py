@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TextIO
 
@@ -55,9 +55,9 @@ from .montecarlo import (
     run_campaign,
 )
 from .rationals import decimal_str, log2_value, parse_rational, ratio_str
-from .relerr import ErrorInterval, check_bounds, error_payload
+from .relerr import check_bounds, error_payload
 
-__all__ = ["main", "CLI_SCHEMA", "ENVELOPE_SCHEMA", "PAYLOAD_SCHEMAS"]
+__all__ = ["main", "CLI_SCHEMA"]
 
 CLI_SCHEMA = "flip754/cli-v1"
 
@@ -114,19 +114,7 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
-def _class_arg(text: str) -> FpClass:
-    return FpClass(text)
-
-
-def _convention_arg(text: str) -> BucketConvention:
-    return BucketConvention(text)
-
-
 # ── payload rendering ─────────────────────────────────────────────────────
-
-
-def _prob(q: Fraction, digits: int) -> dict:
-    return {"ratio": ratio_str(q), "decimal": decimal_str(q, digits)}
 
 
 def _format_payload(fmt: FpFormat) -> dict:
@@ -165,29 +153,44 @@ def _value_payload(w: Word, digits: int) -> dict:
     }
 
 
-def _interval_payload(iv: ErrorInterval | None, digits: int) -> dict | None:
-    if iv is None:
-        return None
-    return {
-        "lower": _prob(iv.lower, digits),
-        "lower_open": iv.lower_open,
-        "upper": None if iv.upper is None else _prob(iv.upper, digits),
-        "upper_open": iv.upper_open,
-        "exact_point": None
-        if iv.exact_point is None
-        else _prob(iv.exact_point, digits),
-    }
-
-
-def _emit(fmt: FpFormat, command: str, payload: dict) -> None:
+def _emit(fmt: FpFormat, command: str, payload: dict, digits: int) -> None:
+    """Print the JSON envelope; each Fraction prints as {ratio, decimal}."""
     doc = {
         "schema": CLI_SCHEMA,
         "command": command,
         "format": _format_payload(fmt),
         "payload": payload,
     }
-    _write_json(doc, sys.stdout)
+    _write_json(doc, sys.stdout, digits)
     sys.stdout.write("\n")
+
+
+def _tabulate(
+    fmt: FpFormat,
+    args: argparse.Namespace,
+    header: list[str],
+    rows: Iterable[tuple],
+    payload: dict,
+) -> int:
+    """Print a tabular command: `payload` as JSON or, with --csv, the rows.
+
+    The rows hold the same cells as the payload; in CSV a Fraction cell
+    fills two columns, its ratio and its decimal.
+    """
+    if not args.csv:
+        _emit(fmt, args.command, payload, args.digits)
+        return EXIT_OK
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, Fraction):
+                cells += ratio_str(cell), decimal_str(cell, args.digits)
+            else:
+                cells.append(cell)
+        writer.writerow(cells)
+    return EXIT_OK
 
 
 # ── JSON writer ───────────────────────────────────────────────────────────
@@ -196,16 +199,18 @@ _FLUSH_PARTS = 4096
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write_json(obj: object, stream: TextIO) -> None:
+def _write_json(obj: object, stream: TextIO, digits: int | None = None) -> None:
     """Write obj as `json.dump(obj, stream, indent=2, sort_keys=True)` does.
 
     Byte for byte the same for dicts with str keys, lists, tuples, str,
     int, float, bool and None (subclasses too, as json.dump treats them);
-    anything else raises TypeError.  json.dump falls back to its
-    pure-Python encoder whenever `indent` is set; this writer is about
-    twice as fast.  Parts go to `stream` every `_FLUSH_PARTS` list items,
-    so the document never exists as one string.  A `_JsonText` value is
-    text rendered elsewhere: its parts go to `stream` in its place.
+    given `digits`, a Fraction is written as the dict {"decimal", "ratio"}
+    of its `decimal_str` and `ratio_str`; anything else raises TypeError.
+    json.dump falls back to its pure-Python encoder whenever `indent` is
+    set; this writer is about twice as fast.  Parts go to `stream` every
+    `_FLUSH_PARTS` list items, so the document never exists as one
+    string.  A `_JsonText` value is text rendered elsewhere: its parts go
+    to `stream` in its place.
     """
     out: list[str] = []
     append = out.append
@@ -257,6 +262,8 @@ def _write_json(obj: object, stream: TextIO) -> None:
             out.clear()
             for part in o.parts(nl):
                 stream.write(part)
+        elif isinstance(o, Fraction) and digits is not None:
+            value({"decimal": decimal_str(o, digits), "ratio": ratio_str(o)}, nl)
         else:
             append(_scalar_text(o))
 
@@ -329,19 +336,13 @@ def _scalar_text(o: object) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # ── command handlers ──────────────────────────────────────────────────────
 
 
 def _cmd_classify(fmt: FpFormat, args: argparse.Namespace) -> int:
     w = _parse_word(fmt, args.value)
     payload = {"input": args.value, **_word_payload(w, args.digits)}
-    _emit(fmt, "classify", payload)
+    _emit(fmt, "classify", payload, args.digits)
     return EXIT_OK
 
 
@@ -359,42 +360,26 @@ def _cmd_flip(fmt: FpFormat, args: argparse.Namespace) -> int:
         "check": {
             "status": chk.status.value,
             "note": chk.note,
-            "interval": _interval_payload(chk.interval, args.digits),
-            "reference": None
-            if chk.reference is None
-            else _prob(chk.reference, args.digits),
+            "interval": None if chk.interval is None else asdict(chk.interval),
+            "reference": chk.reference,
             "deviation": None
             if chk.deviation is None
             else {"ratio": ratio_str(chk.deviation)},
         },
     }
-    _emit(fmt, "flip", payload)
+    _emit(fmt, "flip", payload, args.digits)
     return EXIT_OK
 
 
 def _cmd_table(fmt: FpFormat, args: argparse.Namespace) -> int:
     m = transition_matrix(fmt)
-    if args.csv:
-        rows = [
-            [src.value, dst.value, ratio_str(m.entry(src, dst)),
-             decimal_str(m.entry(src, dst), args.digits)]
-            for src in CLASS_ORDER
-            for dst in CLASS_ORDER
-        ]
-        _emit_csv(["from", "to", "ratio", "decimal"], rows)
-        return EXIT_OK
-    payload = {
-        "classes": [c.value for c in CLASS_ORDER],
-        "matrix": {
-            src.value: {
-                dst.value: _prob(m.entry(src, dst), args.digits)
-                for dst in CLASS_ORDER
-            }
-            for src in CLASS_ORDER
-        },
+    matrix = {
+        src.value: {dst.value: m.entry(src, dst) for dst in CLASS_ORDER}
+        for src in CLASS_ORDER
     }
-    _emit(fmt, "table", payload)
-    return EXIT_OK
+    rows = [(src, dst, q) for src, row in matrix.items() for dst, q in row.items()]
+    payload = {"classes": [c.value for c in CLASS_ORDER], "matrix": matrix}
+    return _tabulate(fmt, args, ["from", "to", "ratio", "decimal"], rows, payload)
 
 
 def _cmd_intervals(fmt: FpFormat, args: argparse.Namespace) -> int:
@@ -406,38 +391,19 @@ def _cmd_intervals(fmt: FpFormat, args: argparse.Namespace) -> int:
     }
     if p.nonfinite is not None:
         buckets["nonfinite"] = p.nonfinite
-    if args.csv:
-        rows = [
-            [name, ratio_str(q), decimal_str(q, args.digits)]
-            for name, q in buckets.items()
-        ]
-        _emit_csv(["bucket", "ratio", "decimal"], rows)
-        return EXIT_OK
     payload = {
         "convention": args.convention.value,
-        "buckets": {k: _prob(q, args.digits) for k, q in buckets.items()},
+        "buckets": buckets,
         "sum": ratio_str(sum(buckets.values())),
     }
-    _emit(fmt, "intervals", payload)
-    return EXIT_OK
+    return _tabulate(fmt, args, ["bucket", "ratio", "decimal"], buckets.items(), payload)
 
 
 def _cmd_cdf(fmt: FpFormat, args: argparse.Namespace) -> int:
-    levels = [args.i] if args.i is not None else list(range(2, fmt.fraction_bits + 1))
-    entries = [(i, cdf_dyadic(fmt, i)) for i in levels]
-    if args.csv:
-        rows = [
-            [str(i), ratio_str(q), decimal_str(q, args.digits)] for i, q in entries
-        ]
-        _emit_csv(["i", "ratio", "decimal"], rows)
-        return EXIT_OK
-    payload = {
-        "rows": [
-            {"i": i, "probability": _prob(q, args.digits)} for i, q in entries
-        ]
-    }
-    _emit(fmt, "cdf", payload)
-    return EXIT_OK
+    levels = [args.i] if args.i is not None else range(2, fmt.fraction_bits + 1)
+    rows = [(i, cdf_dyadic(fmt, i)) for i in levels]
+    payload = {"rows": [{"i": i, "probability": q} for i, q in rows]}
+    return _tabulate(fmt, args, ["i", "ratio", "decimal"], rows, payload)
 
 
 def _cmd_bounds(fmt: FpFormat, args: argparse.Namespace) -> int:
@@ -445,33 +411,14 @@ def _cmd_bounds(fmt: FpFormat, args: argparse.Namespace) -> int:
         table = [decimal_threshold_bounds(fmt, parse_rational(args.tol))]
     else:
         table = tolerance_table(fmt)
-    if args.csv:
-        rows = [
-            [ratio_str(tb.tolerance), str(tb.i_lower), str(tb.i_upper),
-             ratio_str(tb.lower), decimal_str(tb.lower, args.digits),
-             ratio_str(tb.upper), decimal_str(tb.upper, args.digits)]
-            for tb in table
-        ]
-        _emit_csv(
-            ["tolerance", "i_lower", "i_upper", "lower_ratio", "lower_decimal",
-             "upper_ratio", "upper_decimal"],
-            rows,
-        )
-        return EXIT_OK
-    payload = {
-        "rows": [
-            {
-                "tolerance": ratio_str(tb.tolerance),
-                "i_lower": tb.i_lower,
-                "i_upper": tb.i_upper,
-                "lower": _prob(tb.lower, args.digits),
-                "upper": _prob(tb.upper, args.digits),
-            }
-            for tb in table
-        ]
-    }
-    _emit(fmt, "bounds", payload)
-    return EXIT_OK
+    keys = ["tolerance", "i_lower", "i_upper", "lower", "upper"]
+    rows = [
+        (ratio_str(tb.tolerance), tb.i_lower, tb.i_upper, tb.lower, tb.upper)
+        for tb in table
+    ]
+    payload = {"rows": [dict(zip(keys, row)) for row in rows]}
+    header = keys[:3] + ["lower_ratio", "lower_decimal", "upper_ratio", "upper_decimal"]
+    return _tabulate(fmt, args, header, rows, payload)
 
 
 def _cmd_sample(fmt: FpFormat, args: argparse.Namespace) -> int:
@@ -488,7 +435,7 @@ def _cmd_sample(fmt: FpFormat, args: argparse.Namespace) -> int:
         transition_matrix(fmt), report, sigma=args.sigma, min_p=args.min_p
     )
     payload = {"report": report.to_payload(), "comparison": verdict.to_payload()}
-    _emit(fmt, "sample", payload)
+    _emit(fmt, "sample", payload, args.digits)
     return EXIT_OK if verdict.passed else EXIT_MISMATCH
 
 
@@ -504,7 +451,7 @@ def _cmd_census(fmt: FpFormat, args: argparse.Namespace) -> int:
         entries.append(
             {"report": report.to_payload(), "comparison": verdict.to_payload()}
         )
-    _emit(fmt, "census", {"entries": entries, "passed": all_passed})
+    _emit(fmt, "census", {"entries": entries, "passed": all_passed}, args.digits)
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
@@ -524,7 +471,7 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
     payload = summary.header_payload()
     rows = summary.event_rows(args.digits)
     payload["events"] = _JsonText(lambda nl: _event_json(rows, nl))
-    _emit(fmt, "inject", payload)
+    _emit(fmt, "inject", payload, args.digits)
     return EXIT_OK
 
 
@@ -532,6 +479,12 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring one option for the commands that share it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -544,6 +497,23 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5,
         help="significant digits for decimal rendering (default 5)",
     )
+    word = option("value", help="hex word (0x...), rational, decimal, inf, or nan")
+    csv_ = option("--csv", action="store_true", help="CSV instead of JSON")
+    seed = option("--seed", type=_nonneg_int, default=0, help="PRNG seed (default 0)")
+    convention = option(
+        "--convention", type=BucketConvention, default=BucketConvention.MERGED,
+        choices=list(BucketConvention), metavar="{merged,separated}",
+        help="merged folds non-finite flips into ge_one (default merged)",
+    )
+
+    # One parent per default: subparsers share a parent's Action objects,
+    # so `sample` and `census` cannot take different defaults from one.
+    def source_class(default: FpClass | None, help: str) -> argparse.ArgumentParser:
+        return option(
+            "--class", dest="source_class", type=FpClass, default=default,
+            choices=list(FpClass), metavar="{normalized,denormalized,nan,inf}",
+            help=help,
+        )
 
     parser = argparse.ArgumentParser(
         prog="flip754",
@@ -552,71 +522,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "classify", parents=[common],
-        help="decode one word and report its class and exact value",
-    )
-    p.add_argument("value", help="hex word (0x...), rational, decimal, inf, or nan")
-    p.set_defaults(handler=_cmd_classify)
+    def command(name, handler, help, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser(
-        "flip", parents=[common],
-        help="flip one bit and report the transition and exact error",
-    )
-    p.add_argument("value", help="hex word (0x...), rational, decimal, inf, or nan")
+    command("classify", _cmd_classify,
+            "decode one word and report its class and exact value", word)
+
+    p = command("flip", _cmd_flip,
+                "flip one bit and report the transition and exact error", word)
     p.add_argument("--bit", type=_nonneg_int, required=True,
                    help="bit position to flip (0 = least significant)")
-    p.set_defaults(handler=_cmd_flip)
 
-    p = sub.add_parser(
-        "table", parents=[common],
-        help="closed-form class-transition probability matrix",
-    )
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-    p.set_defaults(handler=_cmd_table)
+    command("table", _cmd_table,
+            "closed-form class-transition probability matrix", csv_)
 
-    p = sub.add_parser(
-        "intervals", parents=[common],
-        help="closed-form relative-error bucket probabilities",
-    )
-    p.add_argument("--convention", type=_convention_arg, default=BucketConvention.MERGED,
-                   choices=list(BucketConvention), metavar="{merged,separated}",
-                   help="merged folds non-finite flips into ge_one (default merged)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-    p.set_defaults(handler=_cmd_intervals)
+    command("intervals", _cmd_intervals,
+            "closed-form relative-error bucket probabilities", convention, csv_)
 
-    p = sub.add_parser(
-        "cdf", parents=[common],
-        help="dyadic CDF Pr(error <= 2^-i) of a flip on a normalized word",
-    )
+    p = command("cdf", _cmd_cdf,
+                "dyadic CDF Pr(error <= 2^-i) of a flip on a normalized word", csv_)
     p.add_argument("--i", type=_positive_int, default=None,
                    help="single dyadic level (default: all of 2..w_f)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-    p.set_defaults(handler=_cmd_cdf)
 
-    p = sub.add_parser(
-        "bounds", parents=[common],
-        help="dyadic bracketing of Pr(error <= tolerance) for decimal tolerances",
-    )
+    p = command("bounds", _cmd_bounds,
+                "dyadic bracketing of Pr(error <= tolerance) for decimal tolerances",
+                csv_)
     p.add_argument("--tol", default=None,
                    help="tolerance in (0, 1/4] as rational or decimal "
                    "(default: the table for 10^-1 .. 10^-15)")
-    p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
-    p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser(
-        "sample", parents=[common],
-        help="seeded sampling campaign checked against the closed forms",
+    p = command(
+        "sample", _cmd_sample,
+        "seeded sampling campaign checked against the closed forms",
+        seed,
+        source_class(FpClass.NORMALIZED, "source class to sample (default normalized)"),
+        convention,
     )
     p.add_argument("--n", type=_positive_int, required=True, help="sample count")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--class", dest="source_class", type=_class_arg,
-                   default=FpClass.NORMALIZED, choices=list(FpClass),
-                   metavar="{normalized,denormalized,nan,inf}",
-                   help="source class to sample (default normalized)")
-    p.add_argument("--convention", type=_convention_arg,
-                   default=BucketConvention.MERGED, choices=list(BucketConvention),
-                   metavar="{merged,separated}")
     p.add_argument("--sigma", type=float, default=4.0,
                    help="binomial z-score acceptance band (default 4)")
     p.add_argument("--min-p", type=float, default=1e-6,
@@ -626,236 +570,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         "never affects the counts (default 1)")
     p.add_argument("--chunk-size", type=_positive_int, default=65536,
                    help="sampling chunk size; part of the seeding scheme")
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser(
-        "census", parents=[common],
-        help="exhaustive enumeration (formats up to 24 bits) checked exactly",
-    )
-    p.add_argument("--class", dest="source_class", type=_class_arg, default=None,
-                   choices=list(FpClass),
-                   metavar="{normalized,denormalized,nan,inf}",
-                   help="one class (default: all four)")
-    p.add_argument("--convention", type=_convention_arg,
-                   default=BucketConvention.MERGED, choices=list(BucketConvention),
-                   metavar="{merged,separated}")
-    p.set_defaults(handler=_cmd_census)
+    command("census", _cmd_census,
+            "exhaustive enumeration (formats up to 24 bits) checked exactly",
+            source_class(None, "one class (default: all four)"), convention)
 
-    p = sub.add_parser(
-        "inject", parents=[common],
-        help="inject seeded random flips into a raw word stream",
-    )
+    p = command("inject", _cmd_inject,
+                "inject seeded random flips into a raw word stream", seed)
     p.add_argument("--in", dest="infile", required=True, help="input stream path")
     p.add_argument("--out", dest="outfile", required=True, help="output stream path")
     p.add_argument("--rate", type=float, default=None,
                    help="per-bit flip probability")
     p.add_argument("--count", type=_nonneg_int, default=None,
                    help="exact number of flips (sites drawn with replacement)")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--endian", choices=["little", "big"], default="little",
                    help="byte order of the stream (default little)")
-    p.set_defaults(handler=_cmd_inject)
 
     return parser
-
-
-# ── output schemas ────────────────────────────────────────────────────────
-
-_PROB = {
-    "type": "object",
-    "required": ["ratio", "decimal"],
-    "properties": {"ratio": {"type": "string"}, "decimal": {"type": "string"}},
-}
-_WORD = {
-    "type": "object",
-    "required": ["word", "class", "fields", "value"],
-    "properties": {
-        "word": {"type": "string", "pattern": "^0x[0-9A-F]+$"},
-        "class": {"enum": [c.value for c in FpClass]},
-        "fields": {
-            "type": "object",
-            "required": ["s", "e", "f"],
-            "properties": {
-                "s": {"type": "integer"},
-                "e": {"type": "integer"},
-                "f": {"type": "integer"},
-            },
-        },
-        "value": {"type": "object", "required": ["kind"]},
-    },
-}
-_ERROR = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": ["finite", "nonfinite", "undefined"]}},
-}
-
-ENVELOPE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "command", "format", "payload"],
-    "properties": {
-        "schema": {"const": CLI_SCHEMA},
-        "command": {"type": "string"},
-        "format": {
-            "type": "object",
-            "required": [
-                "name", "exponent_bits", "fraction_bits", "total_bits", "bias",
-            ],
-            "properties": {
-                "name": {"type": "string"},
-                "exponent_bits": {"type": "integer", "minimum": 2},
-                "fraction_bits": {"type": "integer", "minimum": 1},
-                "total_bits": {"type": "integer", "minimum": 4, "maximum": 64},
-                "bias": {"type": "integer", "minimum": 1},
-            },
-        },
-        "payload": {"type": "object"},
-    },
-}
-
-PAYLOAD_SCHEMAS: dict[str, dict] = {
-    "classify": {
-        "type": "object",
-        "required": ["input", "word", "class", "fields", "value"],
-        "properties": {"input": {"type": "string"}, **_WORD["properties"]},
-    },
-    "flip": {
-        "type": "object",
-        "required": ["input", "bit", "locus", "before", "after", "error", "check"],
-        "properties": {
-            "bit": {"type": "integer", "minimum": 0},
-            "locus": {
-                "type": "object",
-                "required": ["field", "index"],
-                "properties": {
-                    "field": {"enum": ["s", "e", "f"]},
-                    "index": {"type": "integer", "minimum": 0},
-                },
-            },
-            "before": _WORD,
-            "after": _WORD,
-            "error": _ERROR,
-            "check": {
-                "type": "object",
-                "required": ["status", "note", "interval", "reference", "deviation"],
-                "properties": {
-                    "status": {
-                        "enum": ["conforms", "violates", "informational"]
-                    },
-                },
-            },
-        },
-    },
-    "table": {
-        "type": "object",
-        "required": ["classes", "matrix"],
-        "properties": {
-            "classes": {
-                "type": "array",
-                "items": {"enum": [c.value for c in FpClass]},
-            },
-            "matrix": {
-                "type": "object",
-                "additionalProperties": {
-                    "type": "object",
-                    "additionalProperties": _PROB,
-                },
-            },
-        },
-    },
-    "intervals": {
-        "type": "object",
-        "required": ["convention", "buckets", "sum"],
-        "properties": {
-            "convention": {"enum": ["merged", "separated"]},
-            "buckets": {"type": "object", "additionalProperties": _PROB},
-            "sum": {"const": "1"},
-        },
-    },
-    "cdf": {
-        "type": "object",
-        "required": ["rows"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["i", "probability"],
-                    "properties": {
-                        "i": {"type": "integer", "minimum": 2},
-                        "probability": _PROB,
-                    },
-                },
-            },
-        },
-    },
-    "bounds": {
-        "type": "object",
-        "required": ["rows"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["tolerance", "i_lower", "i_upper", "lower", "upper"],
-                    "properties": {
-                        "tolerance": {"type": "string"},
-                        "i_lower": {"type": "integer", "minimum": 2},
-                        "i_upper": {"type": "integer", "minimum": 2},
-                        "lower": _PROB,
-                        "upper": _PROB,
-                    },
-                },
-            },
-        },
-    },
-    "sample": {
-        "type": "object",
-        "required": ["report", "comparison"],
-        "properties": {
-            "report": {"type": "object", "required": ["schema", "kind"]},
-            "comparison": {
-                "type": "object",
-                "required": ["schema", "kind", "passed", "cells"],
-            },
-        },
-    },
-    "census": {
-        "type": "object",
-        "required": ["entries", "passed"],
-        "properties": {
-            "passed": {"type": "boolean"},
-            "entries": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["report", "comparison"],
-                },
-            },
-        },
-    },
-    "inject": {
-        "type": "object",
-        "required": [
-            "schema", "mode", "seed", "endian", "word_count", "site_count",
-            "event_count", "transitions", "events",
-        ],
-        "properties": {
-            "mode": {"enum": ["rate", "count"]},
-            "events": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": [
-                        "word_index", "bit", "before", "after",
-                        "class_before", "class_after", "error",
-                    ],
-                },
-            },
-        },
-    },
-}
 
 
 def main(argv: list[str] | None = None) -> int:

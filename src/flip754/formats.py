@@ -91,9 +91,6 @@ class FpFormat:
                 return label
         return f"{self.exponent_bits},{self.fraction_bits}"
 
-    def word(self, bits: int) -> Word:
-        return Word(bits, self)
-
 
 BINARY16 = FpFormat(5, 10)
 BINARY32 = FpFormat(8, 23)
@@ -301,15 +298,25 @@ def first_nonzero_fraction_entry(w: Word) -> int | None:
     return w.fmt.fraction_bits - f.bit_length() + 1
 
 
+def _class_fields(fmt: FpFormat, cls: FpClass) -> tuple[int, int, int, int]:
+    """(lowest exponent, exponent count, lowest fraction, fraction count) of cls.
+
+    Under either sign, the words of cls are exactly those with an exponent
+    and a fraction in these two contiguous ranges.
+    """
+    top, n_f = fmt.exponent_all_ones, 1 << fmt.fraction_bits
+    return {
+        FpClass.NORMALIZED: (1, top - 1, 0, n_f),
+        FpClass.DENORMALIZED: (0, 1, 0, n_f),
+        FpClass.NAN: (top, 1, 1, n_f - 1),
+        FpClass.INF: (top, 1, 0, 1),
+    }[cls]
+
+
 def class_size(fmt: FpFormat, cls: FpClass) -> int:
     """Exact number of bit patterns in a class."""
-    if cls is FpClass.NORMALIZED:
-        return 2 * ((1 << fmt.exponent_bits) - 2) * (1 << fmt.fraction_bits)
-    if cls is FpClass.DENORMALIZED:
-        return 2 * (1 << fmt.fraction_bits)
-    if cls is FpClass.NAN:
-        return 2 * ((1 << fmt.fraction_bits) - 1)
-    return 2
+    _, n_e, _, n_f = _class_fields(fmt, cls)
+    return 2 * n_e * n_f
 
 
 # ── Parsing / conversion ─────────────────────────────────────────

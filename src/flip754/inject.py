@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .formats import FieldLocus, FpClass, Word, classify, locus_of_bit
 
-__all__ = ["TransitionRecord", "flip_bit", "transition", "all_flips", "random_flip"]
+__all__ = ["TransitionRecord", "flip_bit", "transition"]
 
 
 @dataclass(frozen=True)
@@ -41,14 +39,3 @@ def transition(w: Word, pos: int) -> TransitionRecord:
         class_before=classify(w),
         class_after=classify(after),
     )
-
-
-def all_flips(w: Word) -> list[TransitionRecord]:
-    """The W possible single flips of a word, positions 0..W-1."""
-    return [transition(w, pos) for pos in range(w.fmt.total_bits)]
-
-
-def random_flip(w: Word, rng: np.random.Generator) -> TransitionRecord:
-    """Flip a uniformly chosen bit; the draw ignores the word's content."""
-    pos = int(rng.integers(0, w.fmt.total_bits))
-    return transition(w, pos)

@@ -45,7 +45,7 @@ from .analytic import (
     cdf_dyadic,
     interval_probabilities,
 )
-from .formats import FpClass, FpFormat, Word, class_size
+from .formats import FpClass, FpFormat, class_size
 from .rationals import ratio_str
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "CensusReport",
     "ComparisonCell",
     "ComparisonReport",
-    "sample_word",
     "run_campaign",
     "exhaustive_census",
     "compare",
@@ -238,11 +237,6 @@ class CampaignReport:
             "convention": self.convention.value,
             **_tally_payload(self.tally, self.convention),
         }
-
-
-def sample_word(fmt: FpFormat, cls: FpClass, rng: np.random.Generator) -> Word:
-    """Draw one word uniformly from a class (draws sign, exponent, fraction)."""
-    return Word(int(sample_class_bits(fmt, cls, rng, 1)[0]), fmt)
 
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:

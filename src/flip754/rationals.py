@@ -10,6 +10,11 @@ power of ten and one `divmod`, no Fraction arithmetic.
 Each renderer has an integer core taking the numerator and denominator
 (`decimal_text`, `ratio_text`, `log2_ratio`) under its Fraction form, so
 a caller holding a ratio as two integers never builds a Fraction.
+Integers of any size print in full: CPython's `str(int)` raises
+ValueError past `sys.get_int_max_str_digits()` digits (4,300 by
+default), and an exponent flip in a format with 15 or more exponent
+bits has an error of 2^16384 - 1 or more.  Such integers print through
+`Decimal`, which has no digit limit and writes an integer's exact digits.
 """
 
 from __future__ import annotations
@@ -57,7 +62,10 @@ def decimal_text(n: int, d: int, digits: int = 5) -> str:
     if m == 10**digits:  # rounding carried into the next decade
         m //= 10
         e10 += 1
-    ds = str(m)
+    try:
+        ds = str(m)
+    except ValueError:  # past the int-to-str digit limit
+        ds = str(Decimal(m))
 
     if -4 <= e10 < digits:
         if e10 >= 0:
@@ -74,7 +82,10 @@ def ratio_str(q: Fraction) -> str:
 
 def ratio_text(n: int, d: int) -> str:
     """`ratio_str` of n/d, for n and d > 0 already in lowest terms."""
-    return f"{n}/{d}" if d != 1 else str(n)
+    try:
+        return f"{n}/{d}" if d != 1 else str(n)
+    except ValueError:  # past the int-to-str digit limit
+        return f"{Decimal(n)}/{Decimal(d)}" if d != 1 else str(Decimal(n))
 
 
 def log2_value(q: Fraction) -> float | None:
@@ -117,7 +128,10 @@ def parse_rational(text: str) -> Fraction:
 def _floor_log10(n: int, d: int) -> int:
     """Exact floor(log10(n/d)) for positive integers n and d."""
     # Decimal digit counts pin the result to {k-1, k}; settle exactly.
-    k = len(str(n)) - len(str(d))
+    try:
+        k = len(str(n)) - len(str(d))
+    except ValueError:  # past the int-to-str digit limit
+        k = len(str(Decimal(n))) - len(str(Decimal(d)))
     return k if (n >= d * 10**k if k >= 0 else n * 10**-k >= d) else k - 1
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,6 +16,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -26,7 +29,8 @@ from hypothesis import strategies as st
 
 import flip754
 from flip754 import cli, fileio
-from flip754.cli import ENVELOPE_SCHEMA, PAYLOAD_SCHEMAS, _write_json, main
+from flip754.cli import CLI_SCHEMA, _write_json, main
+from flip754.formats import FpClass
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -253,6 +257,203 @@ def test_writer_streams_in_bounded_chunks():
 
 # ── schema validation ─────────────────────────────────────────────────────
 
+_PROB = {
+    "type": "object",
+    "required": ["ratio", "decimal"],
+    "properties": {"ratio": {"type": "string"}, "decimal": {"type": "string"}},
+}
+_WORD = {
+    "type": "object",
+    "required": ["word", "class", "fields", "value"],
+    "properties": {
+        "word": {"type": "string", "pattern": "^0x[0-9A-F]+$"},
+        "class": {"enum": [c.value for c in FpClass]},
+        "fields": {
+            "type": "object",
+            "required": ["s", "e", "f"],
+            "properties": {
+                "s": {"type": "integer"},
+                "e": {"type": "integer"},
+                "f": {"type": "integer"},
+            },
+        },
+        "value": {"type": "object", "required": ["kind"]},
+    },
+}
+_ERROR = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": ["finite", "nonfinite", "undefined"]}},
+}
+
+ENVELOPE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema", "command", "format", "payload"],
+    "properties": {
+        "schema": {"const": CLI_SCHEMA},
+        "command": {"type": "string"},
+        "format": {
+            "type": "object",
+            "required": [
+                "name", "exponent_bits", "fraction_bits", "total_bits", "bias",
+            ],
+            "properties": {
+                "name": {"type": "string"},
+                "exponent_bits": {"type": "integer", "minimum": 2},
+                "fraction_bits": {"type": "integer", "minimum": 1},
+                "total_bits": {"type": "integer", "minimum": 4, "maximum": 64},
+                "bias": {"type": "integer", "minimum": 1},
+            },
+        },
+        "payload": {"type": "object"},
+    },
+}
+
+PAYLOAD_SCHEMAS: dict[str, dict] = {
+    "classify": {
+        "type": "object",
+        "required": ["input", "word", "class", "fields", "value"],
+        "properties": {"input": {"type": "string"}, **_WORD["properties"]},
+    },
+    "flip": {
+        "type": "object",
+        "required": ["input", "bit", "locus", "before", "after", "error", "check"],
+        "properties": {
+            "bit": {"type": "integer", "minimum": 0},
+            "locus": {
+                "type": "object",
+                "required": ["field", "index"],
+                "properties": {
+                    "field": {"enum": ["s", "e", "f"]},
+                    "index": {"type": "integer", "minimum": 0},
+                },
+            },
+            "before": _WORD,
+            "after": _WORD,
+            "error": _ERROR,
+            "check": {
+                "type": "object",
+                "required": ["status", "note", "interval", "reference", "deviation"],
+                "properties": {
+                    "status": {
+                        "enum": ["conforms", "violates", "informational"]
+                    },
+                },
+            },
+        },
+    },
+    "table": {
+        "type": "object",
+        "required": ["classes", "matrix"],
+        "properties": {
+            "classes": {
+                "type": "array",
+                "items": {"enum": [c.value for c in FpClass]},
+            },
+            "matrix": {
+                "type": "object",
+                "additionalProperties": {
+                    "type": "object",
+                    "additionalProperties": _PROB,
+                },
+            },
+        },
+    },
+    "intervals": {
+        "type": "object",
+        "required": ["convention", "buckets", "sum"],
+        "properties": {
+            "convention": {"enum": ["merged", "separated"]},
+            "buckets": {"type": "object", "additionalProperties": _PROB},
+            "sum": {"const": "1"},
+        },
+    },
+    "cdf": {
+        "type": "object",
+        "required": ["rows"],
+        "properties": {
+            "rows": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["i", "probability"],
+                    "properties": {
+                        "i": {"type": "integer", "minimum": 2},
+                        "probability": _PROB,
+                    },
+                },
+            },
+        },
+    },
+    "bounds": {
+        "type": "object",
+        "required": ["rows"],
+        "properties": {
+            "rows": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["tolerance", "i_lower", "i_upper", "lower", "upper"],
+                    "properties": {
+                        "tolerance": {"type": "string"},
+                        "i_lower": {"type": "integer", "minimum": 2},
+                        "i_upper": {"type": "integer", "minimum": 2},
+                        "lower": _PROB,
+                        "upper": _PROB,
+                    },
+                },
+            },
+        },
+    },
+    "sample": {
+        "type": "object",
+        "required": ["report", "comparison"],
+        "properties": {
+            "report": {"type": "object", "required": ["schema", "kind"]},
+            "comparison": {
+                "type": "object",
+                "required": ["schema", "kind", "passed", "cells"],
+            },
+        },
+    },
+    "census": {
+        "type": "object",
+        "required": ["entries", "passed"],
+        "properties": {
+            "passed": {"type": "boolean"},
+            "entries": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["report", "comparison"],
+                },
+            },
+        },
+    },
+    "inject": {
+        "type": "object",
+        "required": [
+            "schema", "mode", "seed", "endian", "word_count", "site_count",
+            "event_count", "transitions", "events",
+        ],
+        "properties": {
+            "mode": {"enum": ["rate", "count"]},
+            "events": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": [
+                        "word_index", "bit", "before", "after",
+                        "class_before", "class_after", "error",
+                    ],
+                },
+            },
+        },
+    },
+}
+
+
 
 def schema_cases(tmp_path):
     stream = tmp_path / "in.bin"
@@ -290,6 +491,134 @@ def test_json_documents_validate(capsys, tmp_path):
         command = doc["command"]
         assert command == argv[0]
         jsonschema.validate(doc["payload"], PAYLOAD_SCHEMAS[command])
+
+
+# ── tabular commands and options ──────────────────────────────────────────
+
+
+def json_cells(command: str, payload: dict) -> list[list[str]]:
+    """The payload of a tabular command as its CSV rows would hold it."""
+    def prob(p):
+        return [p["ratio"], p["decimal"]]
+
+    if command == "table":
+        return [[a, b, *prob(p)] for a, row in payload["matrix"].items() for b, p in row.items()]
+    if command == "intervals":
+        return [[name, *prob(p)] for name, p in payload["buckets"].items()]
+    if command == "cdf":
+        return [[str(r["i"]), *prob(r["probability"])] for r in payload["rows"]]
+    return [
+        [r["tolerance"], str(r["i_lower"]), str(r["i_upper"]), *prob(r["lower"]), *prob(r["upper"])]
+        for r in payload["rows"]
+    ]
+
+
+TABULAR = [
+    ("table",), ("intervals",), ("intervals", "--convention", "separated"),
+    ("cdf",), ("cdf", "--i", "3"), ("bounds", "--tol", "1/4"), ("bounds", "--tol", "1/5"),
+]
+
+
+@pytest.mark.parametrize("digits", ["3", "12"])
+@pytest.mark.parametrize("spec", ["binary16", "4,3", "62,1"])
+@pytest.mark.parametrize("argv", TABULAR, ids=" ".join)
+def test_csv_and_json_give_the_same_cells(capsys, argv, spec, digits):
+    argv = [*argv, "--format", spec, "--digits", digits]
+    code, out, _ = run_cli(capsys, *argv)
+    csv_code, csv_out, _ = run_cli(capsys, *argv, "--csv")
+    assert code == csv_code
+    if code != 0:  # 62,1 has no dyadic level finer than 1/2
+        assert spec == "62,1" and argv[0] in ("bounds", "cdf") and out == csv_out == ""
+        return
+    header, *rows = list(csv.reader(io.StringIO(csv_out)))
+    assert header[-2:] in (["ratio", "decimal"], ["upper_ratio", "upper_decimal"])
+    assert sorted(rows) == sorted(json_cells(argv[0], json.loads(out)["payload"]))
+
+
+COMMON_OPTIONS = {"--format": ("format", "binary64", None, False),
+                  "--digits": ("digits", 5, None, False)}
+CONVENTION = ("convention", "merged", ["merged", "separated"], False)
+CLASSES = ["normalized", "denormalized", "nan", "inf"]
+CSV = ("csv", False, None, False)
+SEED = ("seed", 0, None, False)
+WORD = ("value", None, None, True)
+
+# flag (or positional name) -> (dest, default, choices, required), per subcommand
+OPTION_SETS = {
+    "classify": {"value": WORD},
+    "flip": {"value": WORD, "--bit": ("bit", None, None, True)},
+    "table": {"--csv": CSV},
+    "intervals": {"--convention": CONVENTION, "--csv": CSV},
+    "cdf": {"--i": ("i", None, None, False), "--csv": CSV},
+    "bounds": {"--tol": ("tol", None, None, False), "--csv": CSV},
+    "sample": {
+        "--n": ("n", None, None, True),
+        "--seed": SEED,
+        "--class": ("source_class", "normalized", CLASSES, False),
+        "--convention": CONVENTION,
+        "--sigma": ("sigma", 4.0, None, False),
+        "--min-p": ("min_p", 1e-6, None, False),
+        "--workers": ("workers", 1, None, False),
+        "--chunk-size": ("chunk_size", 65536, None, False),
+    },
+    "census": {"--class": ("source_class", None, CLASSES, False), "--convention": CONVENTION},
+    "inject": {
+        "--in": ("infile", None, None, True),
+        "--out": ("outfile", None, None, True),
+        "--rate": ("rate", None, None, False),
+        "--count": ("count", None, None, False),
+        "--seed": SEED,
+        "--endian": ("endian", "little", ["little", "big"], False),
+    },
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_keeps_its_option_set():
+    def plain(v):
+        return getattr(v, "value", v)
+
+    found = {
+        name: {
+            (a.option_strings[0] if a.option_strings else a.dest): (
+                a.dest,
+                plain(a.default),
+                None if a.choices is None else [plain(c) for c in a.choices],
+                a.required,
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in subparsers().items()
+    }
+    assert found == {name: {**COMMON_OPTIONS, **opts} for name, opts in OPTION_SETS.items()}
+    parse = cli._build_parser().parse_args
+    assert parse(["census"]).source_class is None
+    assert parse(["sample", "--n", "1"]).source_class is FpClass.NORMALIZED
+    assert parse(["census", "--class", "nan"]).source_class is FpClass.NAN
+    assert parse(["intervals", "--convention", "separated"]).convention.value == "separated"
+
+
+@pytest.mark.parametrize("command", OPTION_SETS)
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: flip754 {command}")
+
+
+def test_flip_error_past_the_int_str_digit_limit(capsys):
+    # e = 1 -> 2^14 + 1 on a 15-bit exponent: the error is exactly 2^16384 - 1.
+    for digits, decimal in (("5", "1.1897e+4932"), ("12", "1.18973149536e+4932")):
+        doc = run_json(capsys, "flip", "0x00010000", "--format", "15,16", "--bit", "30",
+                       "--digits", digits)
+        error = doc["payload"]["error"]
+        assert error["ratio"].isdigit() and int(Decimal(error["ratio"])) == 2**16384 - 1
+        assert error["decimal"] == decimal
+        assert doc["payload"]["check"]["reference"] == {"ratio": error["ratio"], "decimal": decimal}
 
 
 # ── exit codes ────────────────────────────────────────────────────────────

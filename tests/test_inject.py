@@ -1,8 +1,7 @@
-"""Single-flip primitives: involution, locus bookkeeping, randomness."""
+"""Single-flip primitives: involution and locus bookkeeping."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +10,9 @@ from flip754 import (
     BINARY64,
     FpFormat,
     Word,
-    all_flips,
-    bit_of_locus,
     classify,
     flip_bit,
     locus_of_bit,
-    random_flip,
     transition,
 )
 
@@ -58,23 +54,3 @@ def test_transition_record_fields():
     assert rec.locus == locus_of_bit(BINARY64, 62)
     assert rec.class_before is classify(w)
     assert rec.class_after is classify(rec.after)
-
-
-def test_all_flips_cover_every_position():
-    fmt = FpFormat(3, 2)
-    w = Word(0b101010, fmt)
-    recs = all_flips(w)
-    assert [r.position for r in recs] == list(range(fmt.total_bits))
-    assert len({r.after.bits for r in recs}) == fmt.total_bits
-    for r in recs:
-        assert bit_of_locus(fmt, r.locus) == r.position
-
-
-def test_random_flip_is_seed_deterministic():
-    w = Word(0x400921FB54442D18, BINARY64)
-    a = [random_flip(w, np.random.default_rng(7)).position for _ in range(5)]
-    b = [random_flip(w, np.random.default_rng(7)).position for _ in range(5)]
-    assert a == b
-    rng = np.random.default_rng(7)
-    positions = {random_flip(w, rng).position for _ in range(2000)}
-    assert positions == set(range(64))  # every site reachable

@@ -28,12 +28,12 @@ from flip754 import (
     exhaustive_census,
     interval_probabilities,
     run_campaign,
-    sample_word,
     transition_matrix,
     TransitionMatrix,
+    Word,
 )
 from flip754 import montecarlo
-from flip754._vector import Case, FlipKernel, enumerate_class, outcome_key
+from flip754._vector import Case, FlipKernel, enumerate_class, outcome_key, sample_class_bits
 from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, brute_census
 
 ORDER = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
@@ -442,11 +442,11 @@ def test_near_certain_cell_is_skipped_like_a_rare_one():
 
 
 @pytest.mark.parametrize("cls", ORDER, ids=lambda c: c.value)
-def test_sample_word_stays_in_class(cls):
+def test_sample_class_bits_stays_in_class(cls):
     rng = np.random.default_rng(3)
     for fmt in (BINARY64, FpFormat(3, 2)):
-        for _ in range(200):
-            assert classify(sample_word(fmt, cls, rng)) is cls
+        for bits in sample_class_bits(fmt, cls, rng, 200):
+            assert classify(Word(int(bits), fmt)) is cls
 
 
 def test_report_payloads_serialize():

@@ -145,6 +145,38 @@ def test_ratio_str():
     assert ratio_str(Fraction(-1, 4)) == "-1/4"
 
 
+def full_digits(n: int) -> str:
+    """The decimal digits of n >= 0, built 18 at a time: `str` refuses
+    integers past `sys.get_int_max_str_digits()` digits."""
+    parts = []
+    while n >= 10**18:
+        n, r = divmod(n, 10**18)
+        parts.append(f"{r:018d}")
+    return str(n) + "".join(reversed(parts))
+
+
+BIG = [2**2048 - 1, 2**2048, 10**4300, 10**4300 + 1, 2**16384 - 1, 3**12000]
+
+
+@pytest.mark.parametrize("n", BIG, ids=lambda n: f"{n.bit_length()}bits")
+def test_ratio_str_past_the_int_str_digit_limit(n):
+    assert ratio_str(Fraction(n)) == full_digits(n)
+    assert ratio_str(Fraction(-n)) == "-" + full_digits(n)
+    q = Fraction(-7, n)
+    assert ratio_str(q) == f"-{full_digits(-q.numerator)}/{full_digits(q.denominator)}"
+
+
+@given(st.sampled_from(BIG), st.integers(-3, 3), st.sampled_from([1, 5, 17, 4400]))
+@settings(max_examples=60, deadline=None)
+def test_decimal_str_past_the_int_str_digit_limit(n, offset, digits):
+    for q in (Fraction(n + offset), Fraction(1, n + offset), Fraction(n + offset, 7)):
+        ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=10**6, Emin=-(10**6))
+        oracle = ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+        rendered = decimal_str(q, digits)
+        assert Fraction(decimal.Decimal(rendered)) == Fraction(oracle)
+        assert len(rendered.split("e")[0].replace(".", "").lstrip("0")) == digits
+
+
 def test_parse_rational():
     assert parse_rational("13/128") == Fraction(13, 128)
     assert parse_rational("0.25") == Fraction(1, 4)
