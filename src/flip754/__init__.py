@@ -46,7 +46,6 @@ from .formats import (
     decode_fields,
     decode_value,
     encode_nearest,
-    first_nonzero_fraction_entry,
     locus_of_bit,
     parse_hex_word,
     recompose,
@@ -75,8 +74,6 @@ from .relerr import (
     SweepReport,
     bounds_sweep,
     check_bounds,
-    denormal_error_interval,
-    normalized_error_interval,
     relative_error,
 )
 
@@ -88,14 +85,13 @@ __all__ = [
     "FpFormat", "Word", "FpClass", "Field", "FieldLocus", "ExactValue",
     "ValueKind", "BINARY16", "BINARY32", "BINARY64", "decode_fields",
     "recompose", "classify", "decode_value", "locus_of_bit", "bit_of_locus",
-    "first_nonzero_fraction_entry", "class_size", "parse_hex_word",
-    "word_from_float", "word_to_float", "encode_nearest",
+    "class_size", "parse_hex_word", "word_from_float", "word_to_float",
+    "encode_nearest",
     # injection primitives
     "TransitionRecord", "flip_bit", "transition",
     # relative errors
     "ErrorKind", "RelativeError", "ErrorInterval", "CheckStatus",
-    "BoundsCheck", "SweepReport", "relative_error",
-    "normalized_error_interval", "denormal_error_interval", "check_bounds",
+    "BoundsCheck", "SweepReport", "relative_error", "check_bounds",
     "bounds_sweep",
     # closed forms
     "BucketConvention", "TransitionMatrix", "IntervalProbabilities",

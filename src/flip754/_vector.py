@@ -255,21 +255,13 @@ def enumerate_class(
 def sample_class_bits(
     fmt: FpFormat, cls: FpClass, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Draw n words uniformly from `cls` (draw order: sign, exponent, fraction)."""
-    w_f = np.uint64(fmt.fraction_bits)
-    shift_s = np.uint64(fmt.total_bits - 1)
-    top = np.uint64(fmt.exponent_all_ones)
+    """Draw n words uniformly from `cls` (draw order: sign, exponent, fraction).
+
+    A one-value range (the exponent of a denormal, NaN or infinity, the
+    fraction of an infinity) draws nothing from `rng`.
+    """
+    e0, n_e, f0, n_f = _class_fields(fmt, cls)
     s = rng.integers(0, 2, size=n, dtype=np.uint64)
-    if cls is FpClass.NORMALIZED:
-        e = rng.integers(1, fmt.exponent_all_ones, size=n, dtype=np.uint64)
-        f = rng.integers(0, 1 << fmt.fraction_bits, size=n, dtype=np.uint64)
-    elif cls is FpClass.DENORMALIZED:
-        e = np.zeros(n, dtype=np.uint64)
-        f = rng.integers(0, 1 << fmt.fraction_bits, size=n, dtype=np.uint64)
-    elif cls is FpClass.NAN:
-        e = np.full(n, top, dtype=np.uint64)
-        f = rng.integers(1, 1 << fmt.fraction_bits, size=n, dtype=np.uint64)
-    else:
-        e = np.full(n, top, dtype=np.uint64)
-        f = np.zeros(n, dtype=np.uint64)
-    return (s << shift_s) | (e << w_f) | f
+    e = rng.integers(e0, e0 + n_e, size=n, dtype=np.uint64)
+    f = rng.integers(f0, f0 + n_f, size=n, dtype=np.uint64)
+    return (s << np.uint64(fmt.total_bits - 1)) | (e << np.uint64(fmt.fraction_bits)) | f

@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from fractions import Fraction
-from typing import TextIO
 
 from ._vector import CLASS_ORDER
 from .analytic import (
@@ -153,16 +151,48 @@ def _value_payload(w: Word, digits: int) -> dict:
     }
 
 
-def _emit(fmt: FpFormat, command: str, payload: dict, digits: int) -> None:
-    """Print the JSON envelope; each Fraction prints as {ratio, decimal}."""
+_EVENTS = "\0events"  # the value `_emit` writes inject's events in place of
+
+
+def _emit(
+    fmt: FpFormat,
+    command: str,
+    payload: dict,
+    digits: int,
+    events: Iterable[list[tuple]] | None = None,
+) -> None:
+    """Print the JSON envelope as `json.dumps(indent=2, sort_keys=True)` does.
+
+    Each Fraction prints as {"decimal", "ratio"}; any other type json
+    cannot write raises TypeError.  `events`, an inject summary's
+    `event_rows`, become the payload's "events" list: `_event_json`
+    renders them chunk by chunk in place of a marker value, so the list
+    never exists as objects or as one string.
+    """
+
+    def fraction(o: object) -> dict:
+        if isinstance(o, Fraction):
+            return {"decimal": decimal_str(o, digits), "ratio": ratio_str(o)}
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    if events is not None:
+        payload = {**payload, "events": _EVENTS}
     doc = {
         "schema": CLI_SCHEMA,
         "command": command,
         "format": _format_payload(fmt),
         "payload": payload,
     }
-    _write_json(doc, sys.stdout, digits)
-    sys.stdout.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, default=fraction)
+    if events is None:
+        sys.stdout.write(text + "\n")
+        return
+    head, _, tail = text.partition(json.dumps(_EVENTS))
+    nl = head[head.rfind("\n") : head.rfind('"events": ')]  # newline and the key's indent
+    sys.stdout.write(head)
+    for part in _event_json(events, nl):
+        sys.stdout.write(part)
+    sys.stdout.write(tail + "\n")
 
 
 def _tabulate(
@@ -193,102 +223,18 @@ def _tabulate(
     return EXIT_OK
 
 
-# ── JSON writer ───────────────────────────────────────────────────────────
-
-_FLUSH_PARTS = 4096
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write_json(obj: object, stream: TextIO, digits: int | None = None) -> None:
-    """Write obj as `json.dump(obj, stream, indent=2, sort_keys=True)` does.
-
-    Byte for byte the same for dicts with str keys, lists, tuples, str,
-    int, float, bool and None (subclasses too, as json.dump treats them);
-    given `digits`, a Fraction is written as the dict {"decimal", "ratio"}
-    of its `decimal_str` and `ratio_str`; anything else raises TypeError.
-    json.dump falls back to its pure-Python encoder whenever `indent` is
-    set; this writer is about twice as fast.  Parts go to `stream` every
-    `_FLUSH_PARTS` list items, so the document never exists as one
-    string.  A `_JsonText` value is text rendered elsewhere: its parts go
-    to `stream` in its place.
-    """
-    out: list[str] = []
-    append = out.append
-    keys: dict[str, str] = {}  # key -> its JSON text and ": "
-
-    def value(o: object, nl: str) -> None:
-        """Append the parts of o; nl is a newline and o's own indent."""
-        if isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k, v in sorted(o.items()):
-                key = keys.get(k)
-                if key is None:
-                    if not isinstance(k, str):
-                        raise TypeError(f"keys must be str, not {type(k).__name__}")
-                    key = keys[k] = _encode_str(k) + ": "
-                append(sep)
-                append(key)
-                sep = "," + inner
-                t = type(v)  # inline the common leaves: a call each costs more
-                if t is str:
-                    append(_encode_str(v))
-                elif t is int:
-                    append(int.__repr__(v))
-                else:
-                    value(v, inner)
-            append(nl + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for v in o:
-                append(sep)
-                sep = "," + inner
-                value(v, inner)
-                if len(out) >= _FLUSH_PARTS:
-                    stream.write("".join(out))
-                    out.clear()
-            append(nl + "]")
-        elif isinstance(o, str):
-            append(_encode_str(o))
-        elif isinstance(o, _JsonText):
-            stream.write("".join(out))
-            out.clear()
-            for part in o.parts(nl):
-                stream.write(part)
-        elif isinstance(o, Fraction) and digits is not None:
-            value({"decimal": decimal_str(o, digits), "ratio": ratio_str(o)}, nl)
-        else:
-            append(_scalar_text(o))
-
-    value(obj, "\n")
-    stream.write("".join(out))
-
-
-@dataclass(frozen=True)
-class _JsonText:
-    """A value `_write_json` does not walk: `parts(nl)` yields its JSON text.
-
-    nl is a newline and the value's own indent, as `_write_json` passes it.
-    """
-
-    parts: Callable[[str], Iterable[str]]
+# ── inject events ─────────────────────────────────────────────────────────
 
 
 def _event_json(chunks: Iterable[list[tuple]], nl: str) -> Iterator[str]:
-    """The events of an inject payload as `_write_json` writes their list.
+    """The events of an inject payload as `json.dumps` writes their list.
 
-    `chunks` are `InjectionSummary.event_rows`; one part is yielded per
-    chunk.  Every event has the same seven keys, and its error either
-    `kind` alone or four keys, so one template per error shape gives the
-    writer's sorted keys and indents.  Every string in a row is made of
-    letters, digits and "/.+-", which JSON writes unescaped.
+    `chunks` are `InjectionSummary.event_rows`; nl is a newline and the
+    list's own indent.  One part is yielded per chunk.  Every event has
+    the same seven keys, and its error either `kind` alone or four keys,
+    so one template per error shape gives json's sorted keys and indents.
+    Every string in a row is made of letters, digits and "/.+-", which
+    JSON writes unescaped.
     """
     i1 = nl + "  "
     i2 = i1 + "  "
@@ -314,26 +260,6 @@ def _event_json(chunks: Iterable[list[tuple]], nl: str) -> Iterator[str]:
             sep = "," + i1
         yield "".join(parts)
     yield "[]" if sep[0] == "[" else nl + "]"
-
-
-def _scalar_text(o: object) -> str:
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # ── command handlers ──────────────────────────────────────────────────────
@@ -468,10 +394,8 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
         count=args.count,
         endian=args.endian,
     )
-    payload = summary.header_payload()
-    rows = summary.event_rows(args.digits)
-    payload["events"] = _JsonText(lambda nl: _event_json(rows, nl))
-    _emit(fmt, "inject", payload, args.digits)
+    _emit(fmt, "inject", summary.header_payload(), args.digits,
+          summary.event_rows(args.digits))
     return EXIT_OK
 
 

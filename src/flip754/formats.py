@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import _round_half_even, floor_log2 as _floor_log2
+from .rationals import MAX_EXACT_BITS, _round_half_even, floor_log2 as _floor_log2
 
 __all__ = [
     "FpFormat",
@@ -33,7 +33,6 @@ __all__ = [
     "decode_value",
     "locus_of_bit",
     "bit_of_locus",
-    "first_nonzero_fraction_entry",
     "class_size",
     "parse_hex_word",
     "word_from_float",
@@ -199,8 +198,14 @@ class ExactValue:
         return self.kind is ValueKind.FINITE and self.significand == 0
 
     def as_fraction(self) -> Fraction:
+        """The exact value; ValueError when |scale| passes `MAX_EXACT_BITS`."""
         if not self.is_finite:
             raise ValueError(f"{self.kind.value} has no rational value")
+        if not -MAX_EXACT_BITS <= self.scale <= MAX_EXACT_BITS:
+            raise ValueError(
+                f"the exact value needs a scale of 2^{self.scale}, "
+                f"past the limit of {MAX_EXACT_BITS} bits"
+            )
         if self.scale >= 0:
             return Fraction(self.sign * self.significand << self.scale)
         return Fraction(self.sign * self.significand, 1 << -self.scale)
@@ -290,19 +295,12 @@ def bit_of_locus(fmt: FpFormat, locus: FieldLocus) -> int:
     return fmt.fraction_bits - locus.index
 
 
-def first_nonzero_fraction_entry(w: Word) -> int | None:
-    """1-based index (MSB first) of the first set fraction bit, None if f = 0."""
-    _, _, f = decode_fields(w)
-    if f == 0:
-        return None
-    return w.fmt.fraction_bits - f.bit_length() + 1
-
-
 def _class_fields(fmt: FpFormat, cls: FpClass) -> tuple[int, int, int, int]:
     """(lowest exponent, exponent count, lowest fraction, fraction count) of cls.
 
     Under either sign, the words of cls are exactly those with an exponent
-    and a fraction in these two contiguous ranges.
+    and a fraction in these two contiguous ranges.  `class_size` and
+    `_vector`'s enumeration and sampling of a class read them here.
     """
     top, n_f = fmt.exponent_all_ones, 1 << fmt.fraction_bits
     return {

@@ -15,6 +15,7 @@ ValueError past `sys.get_int_max_str_digits()` digits (4,300 by
 default), and an exponent flip in a format with 15 or more exponent
 bits has an error of 2^16384 - 1 or more.  Such integers print through
 `Decimal`, which has no digit limit and writes an integer's exact digits.
+Past `MAX_EXACT_BITS` the exact forms are refused instead.
 """
 
 from __future__ import annotations
@@ -33,6 +34,15 @@ __all__ = [
     "parse_rational",
     "floor_log2",
 ]
+
+# Widest power-of-two scale, in bits, that an exact value or error may
+# carry; `formats.ExactValue.as_fraction` and `relerr.error_ratio` raise
+# ValueError past it.  Every word and flip of a format with at most 22
+# exponent bits stays within it.  Past it the integers take too long to
+# print: `ratio_text` of 2^(2^20) - 1 takes 2.1 s and of 2^(2^22) - 1
+# 34 s (Python 3.11, one core of a Xeon), and a 62-bit exponent field
+# asks for integers of 2^61 bits, which cannot be allocated at all.
+MAX_EXACT_BITS = 1 << 22
 
 
 def decimal_str(q: Fraction, digits: int = 5) -> str:

@@ -7,22 +7,23 @@ anywhere.  For finite nonzero sources each flip locus carries a
 closed-form prediction:
 
 * sign flip: exactly 2;
-* fraction entry k of a normalized word: in (2^-(k+1), 2^-k];
+* fraction entry k under leading entry t: in (2^(t-k-1), 2^(t-k)], where
+  t = 0 for a normalized word (its hidden bit) and t is the first nonzero
+  fraction entry of a denormal;
 * exponent entry k, 0 to 1, still finite: exactly 2^(2^(w_e-k)) - 1;
 * exponent entry k, 1 to 0, still normalized: exactly 1 - 2^-(2^(w_e-k));
 * exponent entry k, 1 to 0, into the denormals: in (1 - 2^-(2^(w_e-k)), 1],
   hitting 1 exactly when the fraction is zero (the flip lands on zero);
-* fraction entry k of a denormal with leading nonzero entry t:
-  in (2^(t-k-1), 2^(t-k)];
 * exponent entry k of a nonzero denormal: strictly above 2^(2^(w_e-k)) - 1,
   with no finite upper bound.  The exact excess is reported rather than
   judged, so these cases are informational.
 
-`check_bounds` evaluates one word/position pair against the matching
-prediction with exact Fractions.  `bounds_sweep` judges every position
-of a whole uint64 array of words with integer comparisons only: it is a
-(case, held) histogram of the flip-outcome kernel in `_vector`, the same
-case analysis that the census and the campaign in `montecarlo` tally.
+`check_bounds` reads the matching prediction from a word's fields and
+one position and evaluates it with exact Fractions.  `bounds_sweep`
+judges every position of a whole uint64 array of words with integer
+comparisons only: it is a (case, held) histogram of the flip-outcome
+kernel in `_vector`, the same case analysis that the census and the
+campaign in `montecarlo` tally.
 """
 
 from __future__ import annotations
@@ -35,23 +36,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._vector import BATCH, Case, FlipKernel
+from .formats import FpFormat, Word
+from .rationals import MAX_EXACT_BITS, decimal_text, log2_ratio, ratio_text
+
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
 from .formats import decode_value  # noqa: F401
-from .formats import (
-    Field,
-    FieldLocus,
-    FpClass,
-    FpFormat,
-    Word,
-    bit_of_locus,
-    classify,
-    decode_fields,
-    first_nonzero_fraction_entry,
-    locus_of_bit,
-)
-from .inject import flip_bit
-from .rationals import decimal_text, log2_ratio, ratio_text
+from .inject import flip_bit  # noqa: F401
 
 __all__ = [
     "ErrorKind",
@@ -64,8 +55,6 @@ __all__ = [
     "error_ratio",
     "error_values",
     "error_payload",
-    "normalized_error_interval",
-    "denormal_error_interval",
     "check_bounds",
     "bounds_sweep",
 ]
@@ -110,7 +99,8 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
     n/d is the error in lowest terms for FINITE; n = d = 0 otherwise.
     Computed from the integer fields: both values are
     significand * 2^(exponent - bias - w_f), so the common scale cancels
-    once both significands are shifted to the smaller exponent.
+    once both significands are shifted to the smaller exponent.  An
+    exponent flip whose shift passes `MAX_EXACT_BITS` raises ValueError.
     """
     total, w_f, top = fmt.total_bits, fmt.fraction_bits, fmt.exponent_all_ones
     if not 0 <= pos < total:
@@ -126,9 +116,15 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
     if pos < w_f:  # same exponent; the significands differ by 2^pos
         diff = 1 << pos
     else:
-        e2 = e ^ (1 << (pos - w_f))
+        step = 1 << (pos - w_f)
+        e2 = e ^ step
         if e2 == top:
             return ErrorKind.NONFINITE, 0, 0
+        if step > MAX_EXACT_BITS:  # the shift below would be about `step` bits
+            raise ValueError(
+                f"the exact error of flipping bit {pos} needs a shift of {step} "
+                f"bits, past the limit of {MAX_EXACT_BITS}"
+            )
         m2 = f | hidden if e2 else f
         e, e2 = max(e, 1), max(e2, 1)
         low = min(e, e2)
@@ -186,69 +182,6 @@ class ErrorInterval:
         return q < self.upper or (not self.upper_open and q == self.upper)
 
 
-def normalized_error_interval(
-    w: Word, locus: FieldLocus, class_after: FpClass
-) -> ErrorInterval:
-    """Predicted error interval for flipping `locus` of a normalized word.
-
-    `class_after` must match the class the flip actually produces.
-    Raises ValueError when the flip lands on NaN or an infinity, where no
-    finite prediction exists.
-    """
-    fmt = w.fmt
-    if classify(w) is not FpClass.NORMALIZED:
-        raise ValueError("source word is not normalized")
-    actual = classify(flip_bit(w, bit_of_locus(fmt, locus)))
-    if class_after is not actual:
-        raise ValueError(f"flip produces {actual.name}, not {class_after.name}")
-
-    if locus.field is Field.SIGN:
-        return ErrorInterval.point(Fraction(2))
-    k = locus.index
-    if locus.field is Field.FRACTION:
-        return ErrorInterval(
-            Fraction(1, 2 ** (k + 1)), Fraction(1, 2**k), lower_open=True
-        )
-
-    # exponent entry k; place value within the biased exponent is 2^(w_e - k)
-    d = 2 ** (fmt.exponent_bits - k)
-    _, e, _ = decode_fields(w)
-    if (e >> (fmt.exponent_bits - k)) & 1 == 0:
-        if class_after in (FpClass.NAN, FpClass.INF):
-            raise ValueError("flip lands on a non-finite word; no finite bound")
-        return ErrorInterval.point(Fraction(2**d - 1))
-    if class_after is FpClass.NORMALIZED:
-        return ErrorInterval.point(1 - Fraction(1, 2**d))
-    if class_after is FpClass.DENORMALIZED:
-        return ErrorInterval(1 - Fraction(1, 2**d), Fraction(1), lower_open=True)
-    raise ValueError("downward exponent flip cannot leave the finite range")
-
-
-def denormal_error_interval(w: Word, locus: FieldLocus) -> ErrorInterval:
-    """Predicted error interval for flipping `locus` of a nonzero denormal.
-
-    Exponent flips get a one-sided interval: the error strictly exceeds
-    2^(2^(w_e-k)) - 1 and has no finite upper bound.
-    """
-    fmt = w.fmt
-    _, _, f = decode_fields(w)
-    if classify(w) is not FpClass.DENORMALIZED or f == 0:
-        raise ValueError("source word is not a nonzero denormal")
-
-    if locus.field is Field.SIGN:
-        return ErrorInterval.point(Fraction(2))
-    k = locus.index
-    if locus.field is Field.FRACTION:
-        t = first_nonzero_fraction_entry(w)
-        return ErrorInterval(
-            Fraction(2) ** (t - k - 1), Fraction(2) ** (t - k), lower_open=True
-        )
-    d = 2 ** (fmt.exponent_bits - k)
-    return ErrorInterval(
-        Fraction(2**d - 1), None, lower_open=True, upper_open=True
-    )
-
-
 # ── single-case conformance check ─────────────────────────────────────────
 
 
@@ -273,10 +206,11 @@ class BoundsCheck:
 def check_bounds(w: Word, pos: int) -> BoundsCheck:
     """Compare the exact error of one flip against its predicted interval.
 
-    Informational outcomes cover the cases with no two-sided finite
-    prediction: undefined or non-finite errors, and exponent flips of
-    nonzero denormals, whose exact excess over the open lower bound is
-    reported in `deviation`.
+    The interval is read from the source's fields (e, f) and `pos`, as
+    listed at the top of this module.  Informational outcomes cover the
+    cases with no two-sided finite prediction: undefined or non-finite
+    errors, and exponent flips of nonzero denormals, whose exact excess
+    over the open lower bound is reported in `deviation`.
     """
     fmt = w.fmt
     err = relative_error(w, pos)
@@ -291,32 +225,41 @@ def check_bounds(w: Word, pos: int) -> BoundsCheck:
             "flipped word is NaN or infinite; no finite relative error",
         )
 
-    locus = locus_of_bit(fmt, pos)
-    after = classify(flip_bit(w, pos))
-    if classify(w) is FpClass.NORMALIZED:
-        iv = normalized_error_interval(w, locus, after)
-        ref = iv.exact_point
-        dev = err.value - ref if ref is not None else None
-        ok = iv.contains(err.value)
-        return BoundsCheck(
-            CheckStatus.CONFORMS if ok else CheckStatus.VIOLATES,
-            err, iv, ref, dev,
+    w_f = fmt.fraction_bits
+    e, f = (w.bits >> w_f) & fmt.exponent_all_ones, w.bits & fmt.fraction_mask
+    if pos == fmt.total_bits - 1:
+        iv = ErrorInterval.point(Fraction(2))
+    elif pos < w_f:
+        # fraction entry k under leading entry t: the hidden bit (t = 0) of
+        # a normalized word, the first set fraction entry of a denormal
+        k = w_f - pos
+        t = 0 if e else w_f - f.bit_length() + 1
+        iv = ErrorInterval(
+            Fraction(2) ** (t - k - 1), Fraction(2) ** (t - k), lower_open=True
         )
-
-    iv = denormal_error_interval(w, locus)
-    if locus.field is Field.EXPONENT:
-        held = iv.contains(err.value)
-        return BoundsCheck(
-            CheckStatus.INFORMATIONAL if held else CheckStatus.VIOLATES,
-            err, iv, iv.lower, err.value - iv.lower,
-            "one-sided bound for a denormal exponent flip; exact excess "
-            "over the open lower bound is reported, not judged",
-        )
-    ok = iv.contains(err.value)
+    else:
+        d = 1 << (pos - w_f)  # place value 2^(w_e - k) of exponent entry k
+        if e == 0:
+            iv = ErrorInterval(
+                Fraction(2**d - 1), None, lower_open=True, upper_open=True
+            )
+            held = iv.contains(err.value)
+            return BoundsCheck(
+                CheckStatus.INFORMATIONAL if held else CheckStatus.VIOLATES,
+                err, iv, iv.lower, err.value - iv.lower,
+                "one-sided bound for a denormal exponent flip; exact excess "
+                "over the open lower bound is reported, not judged",
+            )
+        if not e & d:  # 0 to 1; the non-finite landings returned above
+            iv = ErrorInterval.point(Fraction(2**d - 1))
+        elif e == d:  # 1 to 0 into the denormals, onto zero when f = 0
+            iv = ErrorInterval(1 - Fraction(1, 2**d), Fraction(1), lower_open=True)
+        else:  # 1 to 0, still normalized
+            iv = ErrorInterval.point(1 - Fraction(1, 2**d))
+    ref = iv.exact_point
     return BoundsCheck(
-        CheckStatus.CONFORMS if ok else CheckStatus.VIOLATES,
-        err, iv, iv.exact_point,
-        err.value - iv.exact_point if iv.exact_point is not None else None,
+        CheckStatus.CONFORMS if iv.contains(err.value) else CheckStatus.VIOLATES,
+        err, iv, ref, None if ref is None else err.value - ref,
     )
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import flip754
 from flip754 import cli, fileio
-from flip754.cli import CLI_SCHEMA, _write_json, main
+from flip754.cli import CLI_SCHEMA, main
 from flip754.formats import FpClass
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -164,7 +164,7 @@ def test_console_script_matches_golden():
     assert out == (GOLDEN / "table_binary64.csv").read_text()
 
 
-# ── JSON writer ───────────────────────────────────────────────────────────
+# ── JSON output ───────────────────────────────────────────────────────────
 
 
 def reference_dump(obj) -> str:
@@ -173,10 +173,27 @@ def reference_dump(obj) -> str:
     return buf.getvalue()
 
 
-def written(obj) -> str:
+def envelope(payload, fmt=flip754.BINARY64, command="flip") -> dict:
+    return {"schema": CLI_SCHEMA, "command": command,
+            "format": cli._format_payload(fmt), "payload": payload}
+
+
+def emitted(payload, digits=5, events=None, fmt=flip754.BINARY64, command="flip") -> str:
     buf = io.StringIO()
-    _write_json(obj, buf)
+    with contextlib.redirect_stdout(buf):
+        cli._emit(fmt, command, payload, digits, events)
     return buf.getvalue()
+
+
+def plain(obj, digits):
+    """obj with each Fraction replaced by the dict `_emit` writes for it."""
+    if isinstance(obj, Fraction):
+        return {"decimal": flip754.decimal_str(obj, digits), "ratio": flip754.ratio_str(obj)}
+    if isinstance(obj, dict):
+        return {k: plain(v, digits) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v, digits) for v in obj]
+    return obj
 
 
 SPECIAL_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "\u2028", "\U0001F600"]
@@ -190,6 +207,7 @@ JSON_LEAVES = st.one_of(
     st.integers(max_value=-(2**64)),
     st.floats(),
     st.sampled_from(SPECIAL_FLOATS),
+    st.fractions(),
     JSON_TEXT,
 )
 JSON_TREES = st.recursive(
@@ -207,14 +225,15 @@ SPECIAL_TREE = {
     "ints": [2**64, -(2**70), True, 1, False, 0, None],
     "empty": [{}, [], (), {"": {"a": [], "b": {}}}],
     "t": (1, (2, [3, {}])),
+    "q": [Fraction(1, 3), {"r": (Fraction(-7, 2),)}],
 }
 
 
-@given(JSON_TREES)
-@example(SPECIAL_TREE)
+@given(JSON_TREES, st.integers(1, 20))
+@example(SPECIAL_TREE, 5)
 @settings(max_examples=300)
-def test_writer_matches_json_dump(obj):
-    assert written(obj) == reference_dump(obj)
+def test_writer_matches_json_dump(obj, digits):
+    assert emitted(obj, digits) == reference_dump(envelope(plain(obj, digits))) + "\n"
 
 
 # Every JSON golden the CLI wrote; campaign_tallies.json is a test_montecarlo
@@ -225,34 +244,16 @@ CLI_GOLDEN_JSON = sorted(set(GOLDEN.glob("*.json")) - {GOLDEN / "campaign_tallie
 @pytest.mark.parametrize("path", CLI_GOLDEN_JSON, ids=lambda p: p.name)
 def test_writer_reemits_golden_json(path):
     text = path.read_text()
-    assert written(json.loads(text)) + "\n" == text
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 
 @pytest.mark.parametrize(
-    "obj", [Fraction(1, 3), np.int64(3), {"a": [Fraction(1, 2)]}, [np.int64(0)], {1: "a"}],
+    "obj", [np.int64(3), [np.int64(0)], {"a": [Decimal("0.5")]}, {"a": {1, 2}}],
     ids=repr,
 )
 def test_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
-        written(obj)
-
-
-def test_writer_streams_in_bounded_chunks():
-    class Recorder(io.StringIO):
-        def __init__(self):
-            super().__init__()
-            self.sizes = []
-
-        def write(self, text):
-            self.sizes.append(len(text))
-            return super().write(text)
-
-    doc = {"events": [{"bit": i, "hex": f"0x{i:016X}"} for i in range(20000)]}
-    stream = Recorder()
-    _write_json(doc, stream)
-    assert stream.getvalue() == reference_dump(doc)
-    assert len(stream.sizes) > 10
-    assert max(stream.sizes) < len(stream.getvalue()) / 10
+        emitted(obj)
 
 
 # ── schema validation ─────────────────────────────────────────────────────
@@ -621,6 +622,27 @@ def test_flip_error_past_the_int_str_digit_limit(capsys):
         assert doc["payload"]["check"]["reference"] == {"ratio": error["ratio"], "decimal": decimal}
 
 
+# Exact values and errors past `MAX_EXACT_BITS` are refused as usage errors.
+def test_classify_refuses_a_value_past_the_exact_bit_limit(capsys):
+    for word, spec in (("0x2", "62,1"), ("0x4", "40,23")):
+        code, out, err = run_cli(capsys, "classify", word, "--format", spec)
+        assert (code, out) == (2, "") and "past the limit" in err
+
+
+def test_flip_refuses_an_error_past_the_exact_bit_limit(capsys):
+    for bit in ("1", "40"):  # a value, then an error, past the limit
+        code, out, err = run_cli(capsys, "flip", "0x3", "--format", "62,1", "--bit", bit)
+        assert (code, out) == (2, "") and "past the limit" in err
+
+
+def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
+    stream = tmp_path / "in.bin"
+    stream.write_bytes(struct.pack("<Q", 0x3))  # e = 1, f = 1 in 62,1
+    code, _, err = run_cli(capsys, "inject", "--format", "62,1", "--in", str(stream),
+                           "--out", str(tmp_path / "out.bin"), "--count", "1", "--seed", "2")
+    assert code == 2 and "flipping bit 52" in err and "past the limit" in err
+
+
 # ── exit codes ────────────────────────────────────────────────────────────
 
 
@@ -768,18 +790,12 @@ def test_inject_is_deterministic(capsys, tmp_path):
 #
 # The CLI renders inject events from the summary's columns while it
 # writes; `to_payload` builds the same events as dicts.  Written by
-# `_write_json`, that dict form is the reference for every byte.
+# `json.dump`, that dict form is the reference for every byte.
 
 
 def reference_inject_stdout(words, fmt, digits, **draw) -> str:
     _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
-    doc = {
-        "schema": cli.CLI_SCHEMA,
-        "command": "inject",
-        "format": cli._format_payload(fmt),
-        "payload": summary.to_payload(digits),
-    }
-    return written(doc) + "\n"
+    return reference_dump(envelope(summary.to_payload(digits), fmt, "inject")) + "\n"
 
 
 def cli_inject_stdout(directory, spec, words, digits, endian, **draw) -> str:
@@ -862,14 +878,12 @@ def test_inject_stdout_matches_the_dict_reference_at_the_event_chunk(tmp_path, o
 @settings(max_examples=60, deadline=None)
 def test_event_rendering_matches_the_dict_reference_on_narrow_formats(case):
     # Words narrower than a byte cannot be streamed; render their events
-    # through the writer directly, with 1- and 2-digit hex.
+    # through `_emit` directly, with 1- and 2-digit hex.
     spec, words, digits, endian, draw = case
     fmt = cli._parse_format(spec)
     _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
-    rows = summary.event_rows(digits)
-    payload = {**summary.header_payload(),
-               "events": cli._JsonText(lambda nl: cli._event_json(rows, nl))}
-    assert written(payload) == written(summary.to_payload(digits))
+    got = emitted(summary.header_payload(), digits, summary.event_rows(digits), fmt, "inject")
+    assert got == reference_inject_stdout(words, fmt, digits, **draw)
 
 
 def inject_emit_peak(directory, count) -> int:

@@ -31,7 +31,6 @@ from flip754 import (
     decode_fields,
     decode_value,
     encode_nearest,
-    first_nonzero_fraction_entry,
     locus_of_bit,
     parse_hex_word,
     recompose,
@@ -169,6 +168,16 @@ def test_decode_value_matches_host_float(bits):
             assert (v.sign < 0) == bool(struct.pack("<d", x)[7] & 0x80)
 
 
+def test_as_fraction_refuses_scales_past_the_limit():
+    fine = FpFormat(22, 8)  # denormal scale 2^-(2^21 + 6), inside the limit
+    assert decode_value(recompose(fine, 0, 0, 1)).as_fraction() == Fraction(1, 2 ** (fine.bias + 7))
+    wide = FpFormat(62, 1)
+    assert decode_value(recompose(wide, 0, wide.bias, 0)).as_fraction() == 1
+    for e in (0, 1, wide.exponent_all_ones - 1):  # scales near -2^61 and 2^61
+        with pytest.raises(ValueError, match="limit"):
+            decode_value(recompose(wide, 0, e, 1)).as_fraction()
+
+
 def test_decode_value_signed_zero():
     plus = decode_value(Word(0, BINARY64))
     minus = decode_value(Word(1 << 63, BINARY64))
@@ -228,24 +237,6 @@ def test_locus_conventions_binary64():
         locus_of_bit(BINARY64, 64)
     with pytest.raises(ValueError):
         bit_of_locus(BINARY64, FieldLocus.exponent(12))
-
-
-def test_first_nonzero_fraction_entry():
-    fmt = FpFormat(3, 4)
-    # fraction 0b0100 -> first set entry at index 2
-    assert first_nonzero_fraction_entry(recompose(fmt, 0, 0, 0b0100)) == 2
-    assert first_nonzero_fraction_entry(recompose(fmt, 0, 0, 0b1000)) == 1
-    assert first_nonzero_fraction_entry(recompose(fmt, 0, 0, 0b0001)) == 4
-    assert first_nonzero_fraction_entry(recompose(fmt, 0, 0, 0)) is None
-
-
-@given(format_words())
-@settings(max_examples=200)
-def test_first_nonzero_entry_against_bit_string(w):
-    _, _, f = decode_fields(w)
-    text = format(f, f"0{w.fmt.fraction_bits}b")
-    expected = text.index("1") + 1 if "1" in text else None
-    assert first_nonzero_fraction_entry(w) == expected
 
 
 # ── encoding ──────────────────────────────────────────────────────────────

@@ -8,7 +8,10 @@ case for case.
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,18 +28,18 @@ from flip754 import (
     FpClass,
     FpFormat,
     Word,
+    bit_of_locus,
     bounds_sweep,
     check_bounds,
     classify,
-    denormal_error_interval,
     flip_bit,
-    normalized_error_interval,
     recompose,
     relative_error,
     word_from_float,
     word_to_float,
 )
 from flip754._vector import sample_class_bits
+from flip754.rationals import MAX_EXACT_BITS, ratio_str
 from flip754.relerr import error_ratio
 from conftest import PLANTED_FAULTS, SMALL_FORMATS, fraction_relative_error
 
@@ -129,50 +132,84 @@ def test_error_interval_contains_semantics():
     assert point.exact_point == 2
 
 
+def interval(w: Word, locus: FieldLocus) -> ErrorInterval | None:
+    return check_bounds(w, bit_of_locus(w.fmt, locus)).interval
+
+
 def test_normalized_interval_shapes():
     one = word_from_float(1.0)
-    iv = normalized_error_interval(one, FieldLocus.sign(), FpClass.NORMALIZED)
+    iv = interval(one, FieldLocus.sign())
     assert iv.exact_point == 2
-    iv = normalized_error_interval(one, FieldLocus.fraction(3), FpClass.NORMALIZED)
+    iv = interval(one, FieldLocus.fraction(3))
     assert (iv.lower, iv.upper) == (Fraction(1, 16), Fraction(1, 8))
     assert iv.lower_open and not iv.upper_open
     # downward flip of the exponent's lowest entry: error exactly 1/2
-    iv = normalized_error_interval(one, FieldLocus.exponent(11), FpClass.NORMALIZED)
+    iv = interval(one, FieldLocus.exponent(11))
     assert iv.exact_point == Fraction(1, 2)
     # downward flip of entry 2 of 1.0: point 1 - 2^-(2^9)
-    iv = normalized_error_interval(one, FieldLocus.exponent(2), FpClass.NORMALIZED)
+    iv = interval(one, FieldLocus.exponent(2))
     assert iv.exact_point == 1 - Fraction(1, 2**512)
     # upward flip of entry 2 of 2.0: biased exponent gains 2^9
     two = word_from_float(2.0)
-    iv = normalized_error_interval(two, FieldLocus.exponent(2), FpClass.NORMALIZED)
+    iv = interval(two, FieldLocus.exponent(2))
     assert iv.exact_point == 2 ** (2**9) - 1
-
-
-def test_normalized_interval_rejections():
-    one = word_from_float(1.0)
-    with pytest.raises(ValueError):  # wrong source class
-        normalized_error_interval(word_from_float(0.0), FieldLocus.sign(), FpClass.DENORMALIZED)
-    with pytest.raises(ValueError):  # class_after does not match the flip
-        normalized_error_interval(one, FieldLocus.sign(), FpClass.NAN)
+    # downward flip of the only set exponent entry: into the denormals
+    iv = interval(recompose(BINARY64, 0, 1 << 9, 5), FieldLocus.exponent(2))
+    assert (iv.lower, iv.upper) == (1 - Fraction(1, 2**512), 1)
+    assert iv.lower_open and not iv.upper_open and iv.exact_point is None
     # upward flip of the exponent LSB of 0x7FE... reaches the all-ones code
-    w = Word(0x7FE0000000000000, BINARY64)
-    with pytest.raises(ValueError):
-        normalized_error_interval(w, FieldLocus.exponent(11), FpClass.INF)
+    assert interval(Word(0x7FE0000000000000, BINARY64), FieldLocus.exponent(11)) is None
 
 
 def test_denormal_interval_shapes():
     fmt = FpFormat(4, 4)
     w = recompose(fmt, 0, 0, 0b0010)  # first nonzero entry t = 3
-    iv = denormal_error_interval(w, FieldLocus.fraction(1))
+    assert interval(w, FieldLocus.sign()).exact_point == 2
+    iv = interval(w, FieldLocus.fraction(1))
     assert (iv.lower, iv.upper) == (Fraction(2), Fraction(4))
-    iv = denormal_error_interval(w, FieldLocus.fraction(4))
+    iv = interval(w, FieldLocus.fraction(4))
     assert (iv.lower, iv.upper) == (Fraction(1, 4), Fraction(1, 2))
-    iv = denormal_error_interval(w, FieldLocus.exponent(4))
+    iv = interval(w, FieldLocus.exponent(4))
     assert iv.lower == 1 and iv.upper is None and iv.lower_open
-    with pytest.raises(ValueError):
-        denormal_error_interval(recompose(fmt, 0, 0, 0), FieldLocus.sign())
-    with pytest.raises(ValueError):
-        denormal_error_interval(recompose(fmt, 0, 3, 1), FieldLocus.sign())
+    # the leading entry t sets the interval of fraction entry 4: (2^(t-5), 2^(t-4)]
+    for f, t in ((0b0100, 2), (0b1000, 1), (0b0001, 4)):
+        iv = interval(recompose(fmt, 0, 0, f), FieldLocus.fraction(4))
+        assert (iv.lower, iv.upper) == (Fraction(2) ** (t - 5), Fraction(2) ** (t - 4))
+    assert interval(recompose(fmt, 0, 0, 0), FieldLocus.sign()) is None  # zero
+
+
+@st.composite
+def denormal_fraction_flips(draw) -> tuple[FpFormat, int, int]:
+    """(format, nonzero denormal fraction, fraction bit position)."""
+    we = draw(st.integers(2, 11))
+    wf = draw(st.integers(1, 63 - we))
+    return FpFormat(we, wf), draw(st.integers(1, (1 << wf) - 1)), draw(st.integers(0, wf - 1))
+
+
+@given(denormal_fraction_flips())
+@settings(max_examples=200)
+def test_denormal_fraction_interval_against_bit_string(case):
+    fmt, f, pos = case
+    text = format(f, f"0{fmt.fraction_bits}b")
+    t, k = text.index("1") + 1, fmt.fraction_bits - pos
+    iv = check_bounds(recompose(fmt, 0, 0, f), pos).interval
+    assert (iv.lower, iv.upper) == (Fraction(2) ** (t - k - 1), Fraction(2) ** (t - k))
+
+
+def test_error_ratio_refuses_shifts_past_the_limit():
+    # exponent entry 1 of a 23-bit exponent has place value 2^22, the limit
+    fmt = FpFormat(23, 8)
+    w = recompose(fmt, 0, (1 << 22) + 1, 0)
+    kind, n, d = error_ratio(fmt, w.bits, fmt.total_bits - 2)  # 1 to 0, normalized
+    assert (kind, d, d - n) == (ErrorKind.FINITE, 1 << MAX_EXACT_BITS, 1)
+    wide = FpFormat(24, 8)
+    with pytest.raises(ValueError, match="limit"):
+        error_ratio(wide, recompose(wide, 0, 1, 0).bits, wide.total_bits - 2)
+    with pytest.raises(ValueError, match="limit"):
+        check_bounds(recompose(wide, 0, 1, 0), wide.total_bits - 2)
+    # a flip onto the all-ones code stays non-finite whatever the width
+    top = recompose(wide, 0, wide.exponent_all_ones ^ (1 << 23), 0)
+    assert relative_error(top, wide.total_bits - 2).kind is ErrorKind.NONFINITE
 
 
 # ── scalar conformance, exhaustive on small formats ───────────────────────
@@ -217,6 +254,44 @@ def test_denormal_exponent_excess_is_strictly_positive(small_format):
             assert chk.deviation is not None and chk.deviation > 0
             seen += 1
     assert seen == 2 * fmt.fraction_mask * fmt.exponent_bits
+
+
+CHECK_GOLDEN = Path(__file__).parent / "golden" / "check_bounds_3_2_and_4_3.csv"
+CHECK_HEADER = [
+    "format", "word", "bit", "status", "error_kind", "error", "lower", "upper",
+    "lower_open", "upper_open", "exact_point", "reference", "deviation",
+]
+
+
+def check_bounds_csv() -> str:
+    """Every field of `check_bounds` on every word and bit of 3,2 and 4,3."""
+
+    def text(q: Fraction | None) -> str:
+        return "" if q is None else ratio_str(q)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CHECK_HEADER)
+    for fmt in (FpFormat(3, 2), FpFormat(4, 3)):
+        for bits in range(1 << fmt.total_bits):
+            w = Word(bits, fmt)
+            for pos in range(fmt.total_bits):
+                chk = check_bounds(w, pos)
+                iv = chk.interval
+                interval = [""] * 5 if iv is None else [
+                    text(iv.lower), text(iv.upper), int(iv.lower_open),
+                    int(iv.upper_open), text(iv.exact_point),
+                ]
+                writer.writerow([
+                    fmt.name, w.hex(), pos, chk.status.value, chk.error.kind.value,
+                    text(chk.error.value), *interval, text(chk.reference),
+                    text(chk.deviation),
+                ])
+    return buf.getvalue()
+
+
+def test_check_bounds_matches_golden():
+    assert check_bounds_csv() == CHECK_GOLDEN.read_text()
 
 
 # ── vector sweep vs scalar path ───────────────────────────────────────────
