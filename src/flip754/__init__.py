@@ -38,6 +38,7 @@ from .formats import (
     FieldLocus,
     FpClass,
     FpFormat,
+    TransitionRecord,
     ValueKind,
     Word,
     bit_of_locus,
@@ -46,13 +47,14 @@ from .formats import (
     decode_fields,
     decode_value,
     encode_nearest,
+    flip_bit,
     locus_of_bit,
     parse_hex_word,
     recompose,
+    transition,
     word_from_float,
     word_to_float,
 )
-from .inject import TransitionRecord, flip_bit, transition
 from .montecarlo import (
     CampaignConfig,
     CampaignReport,
@@ -87,7 +89,7 @@ __all__ = [
     "recompose", "classify", "decode_value", "locus_of_bit", "bit_of_locus",
     "class_size", "parse_hex_word", "word_from_float", "word_to_float",
     "encode_nearest",
-    # injection primitives
+    # single flips
     "TransitionRecord", "flip_bit", "transition",
     # relative errors
     "ErrorKind", "RelativeError", "ErrorInterval", "CheckStatus",

@@ -234,15 +234,13 @@ def outcome_key(
 # ── class enumeration and sampling ────────────────────────────────────────
 
 
-def enumerate_class(
-    fmt: FpFormat, cls: FpClass, chunk_size: int = 1 << 18
-) -> Iterator[np.ndarray]:
-    """Yield every word of `cls` in ascending order, in uint64 chunks."""
+def enumerate_class(fmt: FpFormat, cls: FpClass) -> Iterator[np.ndarray]:
+    """Yield every word of `cls` in ascending order, in uint64 chunks of `BATCH`."""
     e0, n_e, f0, n_f = _class_fields(fmt, cls)
     per_sign = n_e * n_f
     total = 2 * per_sign
-    for start in range(0, total, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.uint64)
+    for start in range(0, total, BATCH):
+        idx = np.arange(start, min(start + BATCH, total), dtype=np.uint64)
         s, rem = np.divmod(idx, np.uint64(per_sign))
         e, f = np.divmod(rem, np.uint64(n_f))
         yield (

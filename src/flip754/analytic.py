@@ -123,6 +123,9 @@ def transition_matrix(fmt: FpFormat) -> TransitionMatrix:
 
 # ── relative-error interval probabilities ─────────────────────────────────
 
+# The error buckets in report order; nonfinite is populated under SEPARATED only.
+BUCKET_NAMES = ("ge_one", "between_half_and_one", "le_half", "nonfinite")
+
 
 @dataclass(frozen=True)
 class IntervalProbabilities:
@@ -140,11 +143,13 @@ class IntervalProbabilities:
     nonfinite: Fraction | None
 
     def __post_init__(self) -> None:
-        total = self.ge_one + self.between_half_and_one + self.le_half
-        if self.nonfinite is not None:
-            total += self.nonfinite
-        if total != 1:
+        if sum(self.buckets().values()) != 1:
             raise ValueError("bucket probabilities do not sum to 1")
+
+    def buckets(self) -> dict[str, Fraction]:
+        """The populated buckets by name, in `BUCKET_NAMES` order."""
+        names = BUCKET_NAMES if self.nonfinite is not None else BUCKET_NAMES[:-1]
+        return {name: getattr(self, name) for name in names}
 
 
 def interval_probabilities(

@@ -44,16 +44,16 @@ from .formats import (
     encode_nearest,
     parse_hex_word,
     recompose,
+    transition,
 )
-from .inject import transition
 from .montecarlo import (
     CampaignConfig,
     compare,
     exhaustive_census,
     run_campaign,
 )
-from .rationals import decimal_str, log2_value, parse_rational, ratio_str
-from .relerr import check_bounds, error_payload
+from .rationals import MAX_EXACT_BITS, decimal_str, log2_value, parse_rational, ratio_str
+from .relerr import check_bounds, error_payload, error_ratio
 
 __all__ = ["main", "CLI_SCHEMA"]
 
@@ -309,14 +309,7 @@ def _cmd_table(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 
 def _cmd_intervals(fmt: FpFormat, args: argparse.Namespace) -> int:
-    p = interval_probabilities(fmt, args.convention)
-    buckets = {
-        "ge_one": p.ge_one,
-        "between_half_and_one": p.between_half_and_one,
-        "le_half": p.le_half,
-    }
-    if p.nonfinite is not None:
-        buckets["nonfinite"] = p.nonfinite
+    buckets = interval_probabilities(fmt, args.convention).buckets()
     payload = {
         "convention": args.convention.value,
         "buckets": buckets,
@@ -394,6 +387,12 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
         count=args.count,
         endian=args.endian,
     )
+    if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
+        # Refuse an error past the exact limit before the first byte is
+        # printed: only exponent flips with a step past it can have one.
+        wide = summary.position >= fmt.fraction_bits + MAX_EXACT_BITS.bit_length()
+        for bits, pos in zip(summary.before[wide].tolist(), summary.position[wide].tolist()):
+            error_ratio(fmt, bits, pos)
     _emit(fmt, "inject", summary.header_payload(), args.digits,
           summary.event_rows(args.digits))
     return EXIT_OK
@@ -427,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convention = option(
         "--convention", type=BucketConvention, default=BucketConvention.MERGED,
         choices=list(BucketConvention), metavar="{merged,separated}",
-        help="merged folds non-finite flips into ge_one (default merged)",
+        help="merged counts non-finite flips as errors of at least 1 (default merged)",
     )
 
     # One parent per default: subparsers share a parent's Action objects,

@@ -1,4 +1,4 @@
-"""Parameterized binary floating-point formats and exact word decoding.
+"""Parameterized binary floating-point formats, exact word decoding and flips.
 
 A word is a W-bit pattern (W = 1 + exponent_bits + fraction_bits, W <= 64)
 interpreted as sign / biased exponent / fraction.  Everything here is exact:
@@ -33,6 +33,9 @@ __all__ = [
     "decode_value",
     "locus_of_bit",
     "bit_of_locus",
+    "TransitionRecord",
+    "flip_bit",
+    "transition",
     "class_size",
     "parse_hex_word",
     "word_from_float",
@@ -293,6 +296,41 @@ def bit_of_locus(fmt: FpFormat, locus: FieldLocus) -> int:
     if not 1 <= locus.index <= fmt.fraction_bits:
         raise ValueError(f"fraction index {locus.index} out of range")
     return fmt.fraction_bits - locus.index
+
+
+# ── Single flips ─────────────────────────────────────────────────
+
+
+@dataclass(frozen=True)
+class TransitionRecord:
+    """One flip: the word before and after, where it hit, and both classes."""
+
+    before: Word
+    after: Word
+    position: int
+    locus: FieldLocus
+    class_before: FpClass
+    class_after: FpClass
+
+
+def flip_bit(w: Word, pos: int) -> Word:
+    """Toggle exactly one bit.  Involution: flipping twice restores the word."""
+    if not 0 <= pos < w.fmt.total_bits:
+        raise ValueError(f"bit position {pos} outside [0, {w.fmt.total_bits})")
+    return Word(w.bits ^ (1 << pos), w.fmt)
+
+
+def transition(w: Word, pos: int) -> TransitionRecord:
+    """Flip bit `pos` of w and record the class transition."""
+    after = flip_bit(w, pos)
+    return TransitionRecord(
+        before=w,
+        after=after,
+        position=pos,
+        locus=locus_of_bit(w.fmt, pos),
+        class_before=classify(w),
+        class_after=classify(after),
+    )
 
 
 def _class_fields(fmt: FpFormat, cls: FpClass) -> tuple[int, int, int, int]:

@@ -35,11 +35,12 @@ from math import sqrt
 
 import numpy as np
 
-from ._vector import BATCH, CLASS_CODE, CLASS_ORDER, Case, FlipKernel
+from ._vector import CLASS_CODE, CLASS_ORDER, Case, FlipKernel
 from ._vector import enumerate_class, outcome_key, sample_class_bits
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
 from .analytic import (
+    BUCKET_NAMES,
     BucketConvention,
     TransitionMatrix,
     cdf_dyadic,
@@ -62,7 +63,7 @@ __all__ = [
 
 REPORT_SCHEMA = "flip754/report-v1"
 
-# Bucket slots used by the tally engine.
+# Bucket slots used by the tally engine: `BUCKET_NAMES` order, then undefined.
 _GE_ONE, _BETWEEN, _LE_HALF, _NONFINITE, _UNDEFINED = range(5)
 
 
@@ -91,61 +92,48 @@ class FlipTally:
         return sum(self.dyadic[i:])
 
     def bucket_view(self, convention: BucketConvention) -> dict[str, int]:
-        """Bucket counts under a convention; keys match IntervalProbabilities."""
-        b = self.buckets
+        """Bucket counts under a convention; keys match
+        `IntervalProbabilities.buckets`, and MERGED folds nonfinite into ge_one."""
+        b = list(self.buckets[:_UNDEFINED])
         if convention is BucketConvention.MERGED:
-            return {
-                "ge_one": b[_GE_ONE] + b[_NONFINITE],
-                "between_half_and_one": b[_BETWEEN],
-                "le_half": b[_LE_HALF],
-            }
-        return {
-            "ge_one": b[_GE_ONE],
-            "between_half_and_one": b[_BETWEEN],
-            "le_half": b[_LE_HALF],
-            "nonfinite": b[_NONFINITE],
-        }
+            b[_GE_ONE] += b.pop(_NONFINITE)
+        return dict(zip(BUCKET_NAMES, b))
 
 
 class _MutableTally:
     """Counts kept while flips are tallied.
 
-    One histogram over (source class, destination class, case, position)
-    holds the transitions, and the error buckets and dyadic levels follow
-    from its (case, position) margin.  The exception is the level of a
-    denormal fraction flip at most 1/2, which depends on each word's
-    leading fraction bit and is counted per word.
+    One histogram over (source class, destination class, case, column)
+    holds every fact: the transitions are its class margin, and the error
+    buckets and dyadic levels follow from its (case, column) margin.  The
+    column is the flipped position, except for a denormal fraction flip
+    at most 1/2 (DEN_FRAC_LE): its level depends on each word's leading
+    fraction bit, so its column is that level, lead - pos, which lies in
+    [1, w_f - 1].
     """
 
     def __init__(self, fmt: FpFormat) -> None:
         self.fmt = fmt
         self.counts = np.zeros((16, Case.COUNT, fmt.total_bits), dtype=np.int64)
-        self.den_levels = np.zeros(fmt.fraction_bits + 1, dtype=np.int64)
 
-    def cells(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def cells(self, kernel: FlipKernel, pos: int) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
-        kernel's batch, and its denormal level (-1 unless the case is
-        DEN_FRAC_LE); no levels when the batch holds no nonzero denormal."""
+        kernel's batch."""
         label, _, dst = kernel.outcome(pos)
         pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label  # < 16 * 13, a uint8
-        cell = pair_case.astype(np.intp) * self.fmt.total_bits + pos
-        if not kernel.has_den:
-            return cell, None
-        return cell, np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, -1)
+        column = pos
+        if kernel.has_den:
+            column = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, pos)
+        return pair_case.astype(np.intp) * self.fmt.total_bits + column
 
     def add(self, kernel: FlipKernel, pos: int) -> None:
         """Tally the flip of `pos` in every word of the kernel's batch."""
-        cell, level = self.cells(kernel, pos)
+        cell = self.cells(kernel, pos)
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
-        if level is not None:
-            self.den_levels += np.bincount(level[level >= 0], minlength=self.den_levels.size)
 
-    def add_weighted(self, cell: np.ndarray, level: np.ndarray | None, weight: np.ndarray) -> None:
-        """Add `weight[i]` flips at `cell[i]` and `level[i]`, in exact int64."""
+    def add_weighted(self, cell: np.ndarray, weight: np.ndarray) -> None:
+        """Add `weight[i]` flips at `cell[i]`, in exact int64."""
         np.add.at(self.counts.reshape(-1), cell, weight)
-        if level is not None:
-            le = level >= 0
-            np.add.at(self.den_levels, level[le], weight[le])
 
     def freeze(self) -> FlipTally:
         w_f = self.fmt.fraction_bits
@@ -153,7 +141,7 @@ class _MutableTally:
         buckets = np.zeros(5, dtype=np.int64)
         for case, slot in _CASE_BUCKET.items():
             buckets[slot] += cases[case].sum()
-        dyadic = self.den_levels.copy()
+        dyadic = cases[Case.DEN_FRAC_LE, : w_f + 1].copy()
         dyadic[1] += cases[Case.EXP_HALF].sum()
         # normalized fraction entry k = w_f - pos: the largest level is exactly k
         dyadic[1:] += cases[Case.NORM_FRAC, w_f - 1 :: -1]
@@ -292,17 +280,15 @@ def _contract(fmt: FpFormat, hist: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
         if not keys.size:
             continue
         m = keys.size
-        cell, level = t.cells(FlipKernel(fmt, np.concatenate([lo[keys], hi[keys]])), pos)
+        cell = t.cells(FlipKernel(fmt, np.concatenate([lo[keys], hi[keys]])), pos)
         same = cell[:m] == cell[m:]
-        if level is not None:
-            same &= level[:m] == level[m:]
         if not same.all():
             k = int(keys[np.argmin(same)])
             raise RuntimeError(
                 f"outcome key {k} (position {pos}, flags {k % width}) gives two "
                 f"outcomes: words {int(lo[k]):#x} and {int(hi[k]):#x} disagree"
             )
-        t.add_weighted(cell[:m], None if level is None else level[:m], hist[keys])
+        t.add_weighted(cell[:m], hist[keys])
     return t
 
 
@@ -342,7 +328,6 @@ def exhaustive_census(
     fmt: FpFormat,
     source_class: FpClass,
     convention: BucketConvention = BucketConvention.MERGED,
-    chunk_size: int = BATCH,
 ) -> CensusReport:
     """Tally every flip of every word of a class; exact by construction.
 
@@ -352,7 +337,7 @@ def exhaustive_census(
     if fmt.total_bits > 24:
         raise ValueError("exhaustive census supports formats of at most 24 bits")
     t = _MutableTally(fmt)
-    for chunk in enumerate_class(fmt, source_class, chunk_size):
+    for chunk in enumerate_class(fmt, source_class):
         kernel = FlipKernel(fmt, chunk)
         for pos in range(fmt.total_bits):
             t.add(kernel, pos)
@@ -468,18 +453,9 @@ def compare(
         for dst in CLASS_ORDER
     ]
     if src is FpClass.NORMALIZED:
-        probs = interval_probabilities(fmt, report.convention)
+        probs = interval_probabilities(fmt, report.convention).buckets()
         counts = report.tally.bucket_view(report.convention)
-        expected = {
-            "ge_one": probs.ge_one,
-            "between_half_and_one": probs.between_half_and_one,
-            "le_half": probs.le_half,
-            "nonfinite": probs.nonfinite,
-        }
-        cells += [
-            judge(f"err_{name}", expected[name], count)
-            for name, count in counts.items()
-        ]
+        cells += [judge(f"err_{name}", p, counts[name]) for name, p in probs.items()]
         cells += [
             judge(f"cdf_2^-{i}", cdf_dyadic(fmt, i), report.tally.cdf_count(i))
             for i in range(2, fmt.fraction_bits + 1)

@@ -41,8 +41,7 @@ from .rationals import MAX_EXACT_BITS, decimal_text, log2_ratio, ratio_text
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
-from .formats import decode_value  # noqa: F401
-from .inject import flip_bit  # noqa: F401
+from .formats import decode_value, flip_bit  # noqa: F401
 
 __all__ = [
     "ErrorKind",

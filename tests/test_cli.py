@@ -636,11 +636,18 @@ def test_flip_refuses_an_error_past_the_exact_bit_limit(capsys):
 
 
 def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
+    """Refused before the first byte of stdout, so no partial document prints."""
     stream = tmp_path / "in.bin"
-    stream.write_bytes(struct.pack("<Q", 0x3))  # e = 1, f = 1 in 62,1
-    code, _, err = run_cli(capsys, "inject", "--format", "62,1", "--in", str(stream),
-                           "--out", str(tmp_path / "out.bin"), "--count", "1", "--seed", "2")
-    assert code == 2 and "flipping bit 52" in err and "past the limit" in err
+    # (word, format, count, seed, refused bit): e = 1, f = 1 in 62,1, where the
+    # first event is refused; e = 1, f = 0 in 40,23, where the eighth is
+    cases = ((0x3, "62,1", 1, 2, 52), (0x800000, "40,23", 200, 3, 61))
+    for word, spec, count, seed, bit in cases:
+        stream.write_bytes(struct.pack("<Q", word))
+        code, out, err = run_cli(capsys, "inject", "--format", spec, "--in", str(stream),
+                                 "--out", str(tmp_path / "out.bin"), "--count", str(count),
+                                 "--seed", str(seed))
+        assert (code, out) == (2, "")
+        assert f"flipping bit {bit} " in err and "past the limit" in err
 
 
 # ── exit codes ────────────────────────────────────────────────────────────

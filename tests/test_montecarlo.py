@@ -33,7 +33,7 @@ from flip754 import (
     Word,
 )
 from flip754 import montecarlo
-from flip754._vector import Case, FlipKernel, enumerate_class, outcome_key, sample_class_bits
+from flip754._vector import FlipKernel, enumerate_class, outcome_key, sample_class_bits
 from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, brute_census
 
 ORDER = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
@@ -196,6 +196,23 @@ def test_campaign_raises_when_the_key_misses_a_dependence(monkeypatch):
         run_campaign(config)
 
 
+def test_campaign_raises_when_the_key_merges_denormal_levels(monkeypatch):
+    """At position 0 every denormal f >= 2 flips at most 1/2 (DEN_FRAC_LE)
+    to level msb_index(f), which only the tally cell records: a key that
+    merges those levels must make the two representatives disagree."""
+    real = montecarlo.outcome_key
+
+    def merged_levels(fmt, cls, bits, pos):
+        key, width = real(fmt, cls, bits, pos)
+        # key = flags at position 0: 2 * (msb_index(f) + 1) + (f is a power of two)
+        return np.where((pos == 0) & (key >= 4), 4 + key % 2, key), width
+
+    monkeypatch.setattr(montecarlo, "outcome_key", merged_levels)
+    config = CampaignConfig(BINARY16, FpClass.DENORMALIZED, 100_000, seed=1)
+    with pytest.raises(RuntimeError, match=r"outcome key \d+ \(position 0, flags [45]\)"):
+        run_campaign(config)
+
+
 def test_campaign_worker_count_does_not_change_tallies():
     config = CampaignConfig(
         BINARY64, FpClass.NORMALIZED, 5000, seed=7, chunk_size=512
@@ -255,23 +272,20 @@ def test_campaign_config_validation():
 
 
 def _assert_key_sufficient(fmt: FpFormat, cls: FpClass, words: np.ndarray) -> None:
-    """Every key of (word, position) pairs of `cls` maps to one kernel
-    outcome: source class, destination class, case label, denormal level."""
+    """Every key of (word, position) pairs of `cls` maps to one tally cell,
+    the cell `_contract` compares: source class, destination class, case
+    label, and the position or, for DEN_FRAC_LE, the denormal level."""
     kernel = FlipKernel(fmt, words)
-    keys, outcomes = [], []
+    tally = montecarlo._MutableTally(fmt)
+    keys, cells = [], []
     for pos in range(fmt.total_bits):
-        label, _, dst = kernel.outcome(pos)
-        level = -1
-        if kernel.has_den:
-            level = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, -1)
-        pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label
-        outcomes.append(pair_case.astype(np.int64) * 128 + level + 1)
+        cells.append(tally.cells(kernel, pos))
         key, width = outcome_key(fmt, cls, words, np.full(words.size, pos, dtype=np.uint64))
         keys.append(key)
-    key, outcome = np.concatenate(keys), np.concatenate(outcomes)
+    key, cell = np.concatenate(keys), np.concatenate(cells)
     assert width * fmt.total_bits <= 8064
     assert 0 <= key.min() and key.max() < width * fmt.total_bits
-    pairs = np.unique(np.stack([key, outcome]), axis=1)
+    pairs = np.unique(np.stack([key, cell]), axis=1)
     shared = pairs[0][np.flatnonzero(np.diff(pairs[0]) == 0)]
     assert shared.size == 0, f"{fmt.name} {cls.value}: keys {shared[:5]} have two outcomes"
 
