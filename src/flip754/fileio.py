@@ -21,10 +21,23 @@ one-chunk case of the same loop.
 
 The summary keeps the events as four column arrays (word index, bit,
 word before, word after) in application order.  `event_rows` renders
-them `EVENT_CHUNK` rows at a time, classes as arrays and each exact
-relative error on integers; the CLI writes those rows straight into its
-JSON, and `to_payload` builds its dicts from them.  So memory is bounded
-by the event columns plus one chunk, whatever the file size.
+them `EVENT_CHUNK` rows at a time, classes as arrays and each chunk's
+exact relative errors in one call to `relerr.error_rows`, which splits
+the chunk's flips into three groups:
+
+* errors a small key decides (undefined sources, sign flips, exponent
+  flips of normalized words that stay off exponent 0), each key
+  rendered once per chunk by the scalar `relerr.error_values`;
+* fraction flips of finite nonzero words, whose lowest-terms ratio
+  2^(pos - z) / (m >> z) is computed on uint64 for the whole chunk; the
+  decimal comes from a float64 candidate only where
+  `rationals.decimal_texts` certifies it, and from the exact integer
+  `rationals.decimal_text` everywhere else;
+* exponent flips into or out of the denormals, by `relerr.error_values`.
+
+The CLI writes those rows straight into its JSON, and `to_payload`
+builds its dicts from them.  So memory is bounded by the event columns
+plus one chunk, whatever the file size.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ import numpy as np
 
 from ._vector import CLASS_ORDER, classify_codes
 from .formats import FpClass, FpFormat, Word
-from .relerr import ERROR_KEYS, error_values
+from .relerr import ERROR_KEYS, error_rows
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
@@ -207,7 +220,11 @@ class InjectionSummary:
         A row is (word_index, bit, before, after, class_before,
         class_after, error): the words as hex, the class names, and the
         error as `relerr.error_values`, in `relerr.ERROR_KEYS` order.
-        This is the one place an event's printed content is made.
+        This is the one place an event's printed content is made.  Each
+        chunk's errors come from one `relerr.error_rows` call: a
+        key-determined error is rendered once per chunk, fraction flips
+        on uint64 arrays with an exact fallback for every decimal whose
+        float64 candidate is not certified, and the rest one by one.
         """
         fmt = self.fmt
         hex_spec = f"0{fmt.hex_digits}X"
@@ -215,15 +232,13 @@ class InjectionSummary:
         for lo in range(0, self.word_index.size, EVENT_CHUNK):
             rows = slice(lo, lo + EVENT_CHUNK)
             src, dst = self._class_codes(rows)
+            errors = error_rows(fmt, self.before[rows], self.position[rows], digits)
             yield [
-                (
-                    i, p, f"0x{b:{hex_spec}}", f"0x{a:{hex_spec}}",
-                    names[cb], names[ca], error_values(fmt, b, p, digits),
-                )
-                for i, p, b, a, cb, ca in zip(
+                (i, p, f"0x{b:{hex_spec}}", f"0x{a:{hex_spec}}", names[cb], names[ca], err)
+                for i, p, b, a, cb, ca, err in zip(
                     self.word_index[rows].tolist(), self.position[rows].tolist(),
                     self.before[rows].tolist(), self.after[rows].tolist(),
-                    src.tolist(), dst.tolist(),
+                    src.tolist(), dst.tolist(), errors,
                 )
             ]
 

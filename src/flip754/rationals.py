@@ -10,6 +10,14 @@ power of ten and one `divmod`, no Fraction arithmetic.
 Each renderer has an integer core taking the numerator and denominator
 (`decimal_text`, `ratio_text`, `log2_ratio`) under its Fraction form, so
 a caller holding a ratio as two integers never builds a Fraction.
+`decimal_texts` renders whole uint64 arrays of numerators and
+denominators.  A lane is certified, and laid out from a float64
+candidate, when its numerator and denominator lie below 2^53, at most
+15 digits are asked for, and the candidate clears every rounding tie and
+both decade edges by more than its error bound; every other lane goes
+through `decimal_text`.  One helper, `_decimal_layout`, places the
+digits in positional or scientific form for both paths.
+
 Integers of any size print in full: CPython's `str(int)` raises
 ValueError past `sys.get_int_max_str_digits()` digits (4,300 by
 default), and an exponent flip in a format with 15 or more exponent
@@ -24,9 +32,12 @@ import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "decimal_str",
     "decimal_text",
+    "decimal_texts",
     "ratio_str",
     "ratio_text",
     "log2_value",
@@ -37,12 +48,14 @@ __all__ = [
 
 # Widest power-of-two scale, in bits, that an exact value or error may
 # carry; `formats.ExactValue.as_fraction` and `relerr.error_ratio` raise
-# ValueError past it.  Every word and flip of a format with at most 22
-# exponent bits stays within it.  Past it the integers take too long to
-# print: `ratio_text` of 2^(2^20) - 1 takes 2.1 s and of 2^(2^22) - 1
-# 34 s (Python 3.11, one core of a Xeon), and a 62-bit exponent field
-# asks for integers of 2^61 bits, which cannot be allocated at all.
-MAX_EXACT_BITS = 1 << 22
+# ValueError past it.  Every word and flip of a format with at most 16
+# exponent bits stays within it.  It bounds the time to render one
+# error: `relerr.error_values` of 2^(2^16) - 1 takes 17 ms, of
+# 2^(2^17) - 1 64 ms, and the time grows faster than the bit count, to
+# seconds at 2^(2^20) - 1 (Python 3.11, one core of a Xeon).  A 62-bit
+# exponent field would ask for integers of 2^61 bits, which cannot be
+# allocated at all.
+MAX_EXACT_BITS = 1 << 16
 
 
 def decimal_str(q: Fraction, digits: int = 5) -> str:
@@ -76,13 +89,73 @@ def decimal_text(n: int, d: int, digits: int = 5) -> str:
         ds = str(m)
     except ValueError:  # past the int-to-str digit limit
         ds = str(Decimal(m))
+    return sign + _decimal_layout(ds, e10)
 
-    if -4 <= e10 < digits:
+
+# Float64 powers of ten, each correctly rounded, for `_float_decimals`.
+_POW10 = np.array([float(10**k) for k in range(33)])
+
+
+def decimal_texts(n: np.ndarray, d: np.ndarray, digits: int = 5) -> list[str]:
+    """`decimal_text` of each n[i]/d[i], for uint64 arrays of n > 0 and d > 0.
+
+    Lanes that `_float_decimals` certifies are laid out from its float64
+    candidate; every other lane is rendered by `decimal_text`.
+    """
+    n, d = np.asarray(n, dtype=np.uint64), np.asarray(d, dtype=np.uint64)
+    out = np.empty(n.size, dtype=object)
+    m, e10, certified = _float_decimals(n, d, digits)
+    lanes = np.flatnonzero(certified)
+    texts = map(_decimal_layout, map(str, m[lanes].astype(np.int64).tolist()), e10[lanes].tolist())
+    out[lanes] = np.fromiter(texts, dtype=object, count=lanes.size)
+    for i in np.flatnonzero(~certified).tolist():
+        out[i] = decimal_text(int(n[i]), int(d[i]), digits)
+    return out.tolist()
+
+
+def _float_decimals(
+    n: np.ndarray, d: np.ndarray, digits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 digits m and decade e10 of each n/d, and whether each is certified.
+
+    A lane is certified when n and d lie below 2^53 and `digits` is at
+    most 15.  Its candidate s = fl(fl(n/d) * 10^k), the power of ten from
+    `_POW10` (divided by where k < 0), then lies within 3u * s of the
+    exact scaled value, u = 2^-53.  It must also clear every rounding tie
+    (a half-integer) and both decade edges (10^(digits-1) and 10^digits)
+    by more than s * 2^-50; then the exact value rounds to the same digits.
+    """
+    if not 1 <= digits <= 15:
+        zero = np.zeros(n.size, dtype=np.int64)
+        return zero, zero, zero.astype(bool)
+    lo, hi = 10.0 ** (digits - 1), 10.0**digits
+    v = n.astype(np.float64) / d.astype(np.float64)
+    e10 = np.floor(np.log10(v)).astype(np.int64)
+    k = digits - 1 - e10
+    power = _POW10[np.minimum(np.abs(k), _POW10.size - 1)]
+    s = np.where(k >= 0, v * power, v / power)
+    margin = s * 2.0**-50
+    certified = (
+        (n < 1 << 53) & (d < 1 << 53)
+        & (s > lo + margin) & (s < hi - margin)
+        & (np.abs(s - np.floor(s) - 0.5) > margin)
+    )
+    m = np.floor(s + 0.5)  # no ties among the certified lanes
+    carry = m == hi  # rounding carried into the next decade
+    return np.where(carry, lo, m), e10 + carry, certified
+
+
+def _decimal_layout(ds: str, e10: int) -> str:
+    """Place the significant digits `ds` of a value in [10^e10, 10^(e10+1)).
+
+    Positional while e10 lies in -4..len(ds)-1, scientific outside.
+    """
+    if -4 <= e10 < len(ds):
         if e10 >= 0:
             head, tail = ds[: e10 + 1], ds[e10 + 1 :]
-            return sign + (f"{head}.{tail}" if tail else head)
-        return sign + "0." + "0" * (-e10 - 1) + ds
-    return f"{sign}{ds[0]}.{ds[1:]}e{e10:+03d}"
+            return f"{head}.{tail}" if tail else head
+        return "0." + "0" * (-e10 - 1) + ds
+    return f"{ds[0]}.{ds[1:]}e{e10:+03d}"
 
 
 def ratio_str(q: Fraction) -> str:

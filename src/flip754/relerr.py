@@ -3,8 +3,10 @@
 The relative error |x - x'| / |x| of a flip is computed on integers as
 a lowest-terms pair n/d (`error_ratio`) and handed out as an exact
 `Fraction` (`relative_error`); no floating-point rounding enters
-anywhere.  For finite nonzero sources each flip locus carries a
-closed-form prediction:
+anywhere.  `error_values` renders one flip's error for printing, and
+`error_rows` renders a whole chunk of flips to the same values, with
+numpy where the case analysis allows it.  For finite nonzero sources
+each flip locus carries a closed-form prediction:
 
 * sign flip: exactly 2;
 * fraction entry k under leading entry t: in (2^(t-k-1), 2^(t-k)], where
@@ -32,15 +34,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from ._vector import BATCH, Case, FlipKernel
+from ._vector import BATCH, Case, FlipKernel, msb_index, split_fields
 from .formats import FpFormat, Word
-from .rationals import MAX_EXACT_BITS, decimal_text, log2_ratio, ratio_text
+from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, ratio_text
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
-from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
+from ._vector import classify_codes, flip_bits  # noqa: F401
 from .formats import decode_value, flip_bit  # noqa: F401
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "relative_error",
     "error_ratio",
     "error_values",
+    "error_rows",
     "error_payload",
     "check_bounds",
     "bounds_sweep",
@@ -146,6 +150,61 @@ def error_values(fmt: FpFormat, bits: int, pos: int, digits: int) -> tuple:
     if kind is not ErrorKind.FINITE:
         return (kind.value,)
     return kind.value, ratio_text(n, d), decimal_text(n, d, digits), log2_ratio(n, d)
+
+
+def error_rows(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray, digits: int) -> list[tuple]:
+    """`error_values` of flipping bit pos[i] of each word bits[i], as one list.
+
+    The lanes of a chunk fall into three groups:
+
+    * errors a small key decides, each key rendered once by `error_values`
+      on its first lane: undefined sources, sign flips (exactly 2), and
+      exponent flips of normalized words that stay off exponent 0 (not
+      finite, exactly 2^(2^d) - 1 or exactly 1 - 2^-(2^d)); the key is
+      the position and the first two exponent-lane flags of
+      `_vector.outcome_key`, e2 > e and e2 all ones;
+    * fraction flips of finite nonzero words: with significand m and
+      z = min(pos, ctz(m)), the error in lowest terms is 2^(pos - z) over
+      m >> z, computed on uint64 and rendered by `ratio_text` and
+      `rationals.decimal_texts`; its log2 is (pos - z) - math.log2(m >> z),
+      bit for bit `log2_ratio`, since math.log2 of a power of two is exact;
+    * exponent flips into or out of the denormals, by `error_values`.
+    """
+    b, p = np.asarray(bits, dtype=np.uint64), np.asarray(pos, dtype=np.int64)
+    w_f, top = fmt.fraction_bits, np.uint64(fmt.exponent_all_ones)
+    _, e, f = split_fields(fmt, b)
+    defined = (e != top) & ((e != 0) | (f != 0))
+    expo = (p >= w_f) & (p < fmt.total_bits - 1)
+    e2 = e ^ (np.uint64(1) << np.where(expo, p - w_f, 0).astype(np.uint64))
+    frac = defined & (p < w_f)
+    scalar = defined & expo & ((e == 0) | (e2 == 0))
+    key = np.where(defined, p * 4 + expo * ((e2 > e) + 2 * (e2 == top)), -1)
+
+    out = np.empty(b.size, dtype=object)
+    lanes = np.flatnonzero(~frac & ~scalar)
+    _, first, inverse = np.unique(key[lanes], return_index=True, return_inverse=True)
+    table = np.empty(first.size, dtype=object)
+    for j, i in enumerate(lanes[first].tolist()):
+        table[j] = error_values(fmt, int(b[i]), int(p[i]), digits)
+    out[lanes] = table[inverse]
+
+    lanes = np.flatnonzero(frac)
+    hidden = np.uint64(1 << w_f)
+    m = np.where(e != 0, f | hidden, f)[lanes]
+    z = np.minimum(p[lanes], msb_index(m & (~m + np.uint64(1))))
+    j, d = p[lanes] - z, m >> z.astype(np.uint64)
+    n = np.uint64(1) << j.astype(np.uint64)
+    dl = d.tolist()
+    log2 = (j - np.fromiter(map(math.log2, dl), dtype=np.float64, count=lanes.size)).tolist()
+    rows = zip(
+        repeat(ErrorKind.FINITE.value), map(ratio_text, n.tolist(), dl),
+        decimal_texts(n, d, digits), log2,
+    )
+    out[lanes] = np.fromiter(rows, dtype=object, count=lanes.size)
+
+    for i in np.flatnonzero(scalar).tolist():
+        out[i] = error_values(fmt, int(b[i]), int(p[i]), digits)
+    return out.tolist()
 
 
 def error_payload(fmt: FpFormat, bits: int, pos: int, digits: int) -> dict:

@@ -31,6 +31,7 @@ import flip754
 from flip754 import cli, fileio
 from flip754.cli import CLI_SCHEMA, main
 from flip754.formats import FpClass
+from flip754.relerr import error_payload
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,6 +138,14 @@ def test_inject_goldens_cover_repeated_words_and_sites():
     )
 
 
+def package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    package_root = str(Path(flip754.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
+
+
 def test_console_script_matches_golden():
     """The declared console script reproduces the golden table.
 
@@ -154,10 +163,7 @@ def test_console_script_matches_golden():
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["flip754"]
         module, func = target.split(":")
         cmd = [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
-        package_root = str(Path(flip754.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        )}
+        env = package_env()
     out = subprocess.run(
         cmd + ["table", "--csv"], capture_output=True, text=True, check=True, env=env
     ).stdout
@@ -639,8 +645,8 @@ def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
     """Refused before the first byte of stdout, so no partial document prints."""
     stream = tmp_path / "in.bin"
     # (word, format, count, seed, refused bit): e = 1, f = 1 in 62,1, where the
-    # first event is refused; e = 1, f = 0 in 40,23, where the eighth is
-    cases = ((0x3, "62,1", 1, 2, 52), (0x800000, "40,23", 200, 3, 61))
+    # first event is refused; e = 1, f = 0 in 36,27, where the eighth is
+    cases = ((0x3, "62,1", 1, 2, 52), (0x8000000, "36,27", 200, 3, 61))
     for word, spec, count, seed, bit in cases:
         stream.write_bytes(struct.pack("<Q", word))
         code, out, err = run_cli(capsys, "inject", "--format", spec, "--in", str(stream),
@@ -648,6 +654,22 @@ def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
                                  "--seed", str(seed))
         assert (code, out) == (2, "")
         assert f"flipping bit {bit} " in err and "past the limit" in err
+
+
+@pytest.mark.parametrize("spec, word", [("62,1", 0x3), ("23,8", 0x100)])
+def test_inject_of_every_exponent_flip_is_refused_within_seconds(tmp_path, spec, word):
+    # At rate 1 every bit of the one word flips.  In 23,8 the top exponent
+    # entry has place value 2^22, whose error took minutes to print when
+    # the limit let it through.
+    fmt = cli._parse_format(spec)
+    stream = tmp_path / "in.bin"
+    stream.write_bytes(flip754.words_to_bytes(np.array([word], dtype=np.uint64), fmt))
+    out = subprocess.run(
+        [sys.executable, "-m", "flip754", "inject", "--format", spec, "--rate", "1.0",
+         "--seed", "0", "--in", str(stream), "--out", str(tmp_path / "out.bin")],
+        capture_output=True, text=True, timeout=10, env=package_env(),
+    )
+    assert (out.returncode, out.stdout) == (2, "") and "past the limit" in out.stderr
 
 
 # ── exit codes ────────────────────────────────────────────────────────────
@@ -796,13 +818,28 @@ def test_inject_is_deterministic(capsys, tmp_path):
 # ── inject rendering ──────────────────────────────────────────────────────
 #
 # The CLI renders inject events from the summary's columns while it
-# writes; `to_payload` builds the same events as dicts.  Written by
+# writes, each chunk's errors by `relerr.error_rows`.  The reference
+# builds every event as a dict from the same columns with the scalar
+# `Word.hex`, `classify` and `relerr.error_payload`; written by
 # `json.dump`, that dict form is the reference for every byte.
 
 
 def reference_inject_stdout(words, fmt, digits, **draw) -> str:
     _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
-    return reference_dump(envelope(summary.to_payload(digits), fmt, "inject")) + "\n"
+    events = [
+        {
+            "word_index": ev.word_index,
+            "bit": ev.position,
+            "before": ev.before.hex(),
+            "after": ev.after.hex(),
+            "class_before": flip754.classify(ev.before).value,
+            "class_after": flip754.classify(ev.after).value,
+            "error": error_payload(fmt, ev.before.bits, ev.position, digits),
+        }
+        for ev in summary.events
+    ]
+    payload = {**summary.header_payload(), "events": events}
+    return reference_dump(envelope(payload, fmt, "inject")) + "\n"
 
 
 def cli_inject_stdout(directory, spec, words, digits, endian, **draw) -> str:

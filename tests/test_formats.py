@@ -169,8 +169,11 @@ def test_decode_value_matches_host_float(bits):
 
 
 def test_as_fraction_refuses_scales_past_the_limit():
-    fine = FpFormat(22, 8)  # denormal scale 2^-(2^21 + 6), inside the limit
+    fine = FpFormat(16, 8)  # denormal scale 2^-(2^15 + 6), inside the limit
     assert decode_value(recompose(fine, 0, 0, 1)).as_fraction() == Fraction(1, 2 ** (fine.bias + 7))
+    past = FpFormat(17, 8)  # denormal scale 2^-(2^16 + 6), past the limit
+    with pytest.raises(ValueError, match="limit"):
+        decode_value(recompose(past, 0, 0, 1)).as_fraction()
     wide = FpFormat(62, 1)
     assert decode_value(recompose(wide, 0, wide.bias, 0)).as_fraction() == 1
     for e in (0, 1, wide.exponent_all_ones - 1):  # scales near -2^61 and 2^61

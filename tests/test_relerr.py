@@ -39,9 +39,10 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
+from flip754 import rationals
 from flip754.rationals import MAX_EXACT_BITS, ratio_str
-from flip754.relerr import error_ratio
-from conftest import PLANTED_FAULTS, SMALL_FORMATS, fraction_relative_error
+from flip754.relerr import error_ratio, error_rows, error_values
+from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, fraction_relative_error
 
 
 # ── relative_error itself ─────────────────────────────────────────────────
@@ -197,18 +198,18 @@ def test_denormal_fraction_interval_against_bit_string(case):
 
 
 def test_error_ratio_refuses_shifts_past_the_limit():
-    # exponent entry 1 of a 23-bit exponent has place value 2^22, the limit
-    fmt = FpFormat(23, 8)
-    w = recompose(fmt, 0, (1 << 22) + 1, 0)
+    # exponent entry 1 of a 17-bit exponent has place value 2^16, the limit
+    fmt = FpFormat(17, 8)
+    w = recompose(fmt, 0, (1 << 16) + 1, 0)
     kind, n, d = error_ratio(fmt, w.bits, fmt.total_bits - 2)  # 1 to 0, normalized
     assert (kind, d, d - n) == (ErrorKind.FINITE, 1 << MAX_EXACT_BITS, 1)
-    wide = FpFormat(24, 8)
+    wide = FpFormat(18, 8)
     with pytest.raises(ValueError, match="limit"):
         error_ratio(wide, recompose(wide, 0, 1, 0).bits, wide.total_bits - 2)
     with pytest.raises(ValueError, match="limit"):
         check_bounds(recompose(wide, 0, 1, 0), wide.total_bits - 2)
     # a flip onto the all-ones code stays non-finite whatever the width
-    top = recompose(wide, 0, wide.exponent_all_ones ^ (1 << 23), 0)
+    top = recompose(wide, 0, wide.exponent_all_ones ^ (1 << 17), 0)
     assert relative_error(top, wide.total_bits - 2).kind is ErrorKind.NONFINITE
 
 
@@ -386,3 +387,112 @@ def test_fraction_flip_bound_on_random_words(bits, pos):
     k = 52 - pos
     assert err.kind is ErrorKind.FINITE
     assert Fraction(1, 2 ** (k + 1)) < err.value <= Fraction(1, 2**k)
+
+
+# ── chunk errors vs the scalar path ───────────────────────────────────────
+#
+# `error_rows` must return exactly the tuples of `error_values`, types
+# included: the CLI prints each log2 with `repr`, so rows are compared
+# by their reprs.
+
+
+def scalar_rows(fmt, words, positions, digits):
+    return [error_values(fmt, b, p, digits) for b, p in zip(words, positions)]
+
+
+def chunk_rows(fmt, words, positions, digits):
+    return error_rows(fmt, np.array(words, dtype=np.uint64), np.array(positions), digits)
+
+
+def assert_same_rows(got, want):
+    """got == want with every type alike; a failure names the first lanes that differ."""
+    assert len(got) == len(want)
+    bad = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if repr(a) != repr(b)]
+    assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize("fmt", TINY_FORMATS, ids=lambda f: f.name)
+def test_error_rows_match_error_values_exhaustively(fmt):
+    w = fmt.total_bits
+    words = [b for b in range(1 << w) for _ in range(w)]
+    positions = list(range(w)) * (1 << w)
+    for digits in (1, 5, 17):
+        want = scalar_rows(fmt, words, positions, digits)
+        assert_same_rows(chunk_rows(fmt, words, positions, digits), want)
+
+
+@st.composite
+def error_chunks(draw):
+    fmt = draw(st.sampled_from([
+        FpFormat(5, 10), FpFormat(8, 23), BINARY64,
+        FpFormat(62, 1), FpFormat(2, 61), FpFormat(30, 33),
+    ]))
+    top, w_f = fmt.exponent_all_ones, fmt.fraction_bits
+    # Fractions with few set entries put fraction-flip errors on exact
+    # ties and powers of ten; the rest are uniform.
+    sparse = st.builds(
+        lambda a, b: ((1 << a) | (1 << b)) & fmt.fraction_mask,
+        st.integers(0, w_f), st.integers(0, w_f),
+    )
+    word = st.builds(
+        lambda s, e, f: recompose(fmt, s, e, f).bits,
+        st.integers(0, 1),
+        st.one_of(st.sampled_from([0, 1, 2, top - 1, top]), st.integers(0, top)),
+        st.one_of(sparse, st.integers(0, fmt.fraction_mask)),
+    )
+    n = draw(st.integers(1, 24))
+    words = draw(st.lists(word, min_size=n, max_size=n))
+    positions = draw(st.lists(st.integers(0, fmt.total_bits - 1), min_size=n, max_size=n))
+    return fmt, words, positions, draw(st.integers(1, 17))
+
+
+@given(error_chunks())
+@settings(max_examples=300, deadline=None)
+def test_error_rows_match_error_values_on_wide_formats(case):
+    fmt, words, positions, digits = case
+    kept, refused = [], False
+    for b, p in zip(words, positions):
+        try:
+            kept.append((b, p, error_values(fmt, b, p, digits)))
+        except ValueError:  # a flip past MAX_EXACT_BITS
+            refused = True
+    if refused:  # refuses its whole chunk
+        with pytest.raises(ValueError, match="limit"):
+            chunk_rows(fmt, words, positions, digits)
+    if kept:
+        words, positions, want = zip(*kept)
+        assert_same_rows(chunk_rows(fmt, words, positions, digits), want)
+
+
+ONE, ONE_QUARTER = 0x3FF0000000000000, 0x3FF4000000000000  # 1.0 and 1.25
+
+# (word, bit, digits, decimal): the error of 1.0 at bit 50 is 1/4 and at
+# bit 49 1/8, both ties at these digits; of 1.25 at bit 49 it is 1/10.
+NAMED_BINARY64_CASES = [
+    (ONE, 50, 1, "1/4", "0.2"),
+    (ONE, 49, 2, "1/8", "0.12"),
+    (ONE_QUARTER, 49, 1, "1/10", "0.1"),
+    (ONE_QUARTER, 49, 5, "1/10", "0.10000"),
+    (ONE_QUARTER, 49, 17, "1/10", "0.10000000000000000"),
+]
+
+
+@pytest.mark.parametrize("word, bit, digits, ratio, decimal", NAMED_BINARY64_CASES)
+def test_error_rows_named_binary64_cases(word, bit, digits, ratio, decimal):
+    (row,) = chunk_rows(BINARY64, [word], [bit], digits)
+    assert row[:3] == ("finite", ratio, decimal)
+    assert repr(row) == repr(error_values(BINARY64, word, bit, digits))
+
+
+def test_named_ties_need_the_exact_fallback(monkeypatch):
+    # Certify every float candidate: the ties then round half up.
+    certify = rationals._float_decimals
+
+    def certify_all(n, d, digits):
+        m, e10, _ = certify(n, d, digits)
+        return m, e10, np.ones(n.size, dtype=bool)
+
+    monkeypatch.setattr(rationals, "_float_decimals", certify_all)
+    for word, bit, digits, _, decimal in NAMED_BINARY64_CASES[:2]:
+        (row,) = chunk_rows(BINARY64, [word], [bit], digits)
+        assert row[2] != decimal
