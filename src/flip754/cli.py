@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -159,15 +160,16 @@ def _emit(
     command: str,
     payload: dict,
     digits: int,
-    events: Iterable[list[tuple]] | None = None,
+    events: Callable[[str], Iterable[str]] | None = None,
 ) -> None:
     """Print the JSON envelope as `json.dumps(indent=2, sort_keys=True)` does.
 
     Each Fraction prints as {"decimal", "ratio"}; any other type json
-    cannot write raises TypeError.  `events`, an inject summary's
-    `event_rows`, become the payload's "events" list: `_event_json`
-    renders them chunk by chunk in place of a marker value, so the list
-    never exists as objects or as one string.
+    cannot write raises TypeError.  `events`, for inject, is called with
+    the newline and indent of the payload's "events" key, and the text
+    parts it returns (`InjectionSummary.event_json`) are written in place
+    of a marker value, so the list never exists as objects or as one
+    string.
     """
 
     def fraction(o: object) -> dict:
@@ -190,7 +192,7 @@ def _emit(
     head, _, tail = text.partition(json.dumps(_EVENTS))
     nl = head[head.rfind("\n") : head.rfind('"events": ')]  # newline and the key's indent
     sys.stdout.write(head)
-    for part in _event_json(events, nl):
+    for part in events(nl):
         sys.stdout.write(part)
     sys.stdout.write(tail + "\n")
 
@@ -221,45 +223,6 @@ def _tabulate(
                 cells.append(cell)
         writer.writerow(cells)
     return EXIT_OK
-
-
-# ── inject events ─────────────────────────────────────────────────────────
-
-
-def _event_json(chunks: Iterable[list[tuple]], nl: str) -> Iterator[str]:
-    """The events of an inject payload as `json.dumps` writes their list.
-
-    `chunks` are `InjectionSummary.event_rows`; nl is a newline and the
-    list's own indent.  One part is yielded per chunk.  Every event has
-    the same seven keys, and its error either `kind` alone or four keys,
-    so one template per error shape gives json's sorted keys and indents.
-    Every string in a row is made of letters, digits and "/.+-", which
-    JSON writes unescaped.
-    """
-    i1 = nl + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    k, e = "," + i2, "," + i3  # between an event's keys, between its error's keys
-    sep = "[" + i1
-    for rows in chunks:
-        parts = []
-        for i, p, b, a, cb, ca, err in rows:
-            if len(err) == 1:
-                error = f'{{{i3}"kind": "{err[0]}"{i2}}}'
-            else:
-                kind, ratio, dec, log2 = err
-                error = (
-                    f'{{{i3}"decimal": "{dec}"{e}"kind": "{kind}"{e}"log2": {log2!r}'
-                    f'{e}"ratio": "{ratio}"{i2}}}'
-                )
-            parts.append(
-                f'{sep}{{{i2}"after": "{a}"{k}"before": "{b}"{k}"bit": {p}'
-                f'{k}"class_after": "{ca}"{k}"class_before": "{cb}"'
-                f'{k}"error": {error}{k}"word_index": {i}{i1}}}'
-            )
-            sep = "," + i1
-        yield "".join(parts)
-    yield "[]" if sep[0] == "[" else nl + "]"
 
 
 # ── command handlers ──────────────────────────────────────────────────────
@@ -375,9 +338,6 @@ def _cmd_census(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
-    if (args.rate is None) == (args.count is None):
-        print("flip754: give exactly one of --rate and --count", file=sys.stderr)
-        return EXIT_USAGE
     summary = inject_file(
         args.infile,
         args.outfile,
@@ -388,13 +348,12 @@ def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
         endian=args.endian,
     )
     if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
-        # Refuse an error past the exact limit before the first byte is
-        # printed: only exponent flips with a step past it can have one.
-        wide = summary.position >= fmt.fraction_bits + MAX_EXACT_BITS.bit_length()
-        for bits, pos in zip(summary.before[wide].tolist(), summary.position[wide].tolist()):
+        # An exponent flip's step can pass the exact limit: refuse such an
+        # error before the first byte is printed.
+        for bits, pos in zip(summary.before.tolist(), summary.position.tolist()):
             error_ratio(fmt, bits, pos)
     _emit(fmt, "inject", summary.header_payload(), args.digits,
-          summary.event_rows(args.digits))
+          functools.partial(summary.event_json, args.digits))
     return EXIT_OK
 
 
@@ -502,10 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "inject seeded random flips into a raw word stream", seed)
     p.add_argument("--in", dest="infile", required=True, help="input stream path")
     p.add_argument("--out", dest="outfile", required=True, help="output stream path")
-    p.add_argument("--rate", type=float, default=None,
-                   help="per-bit flip probability")
-    p.add_argument("--count", type=_nonneg_int, default=None,
-                   help="exact number of flips (sites drawn with replacement)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--rate", type=float, help="per-bit flip probability")
+    mode.add_argument("--count", type=_nonneg_int,
+                      help="exact number of flips (sites drawn with replacement)")
     p.add_argument("--endian", choices=["little", "big"], default="little",
                    help="byte order of the stream (default little)")
 

@@ -20,8 +20,9 @@ a chunk's masks gives the word every event saw, and
 one-chunk case of the same loop.
 
 The summary keeps the events as four column arrays (word index, bit,
-word before, word after) in application order.  `event_rows` renders
-them `EVENT_CHUNK` rows at a time, classes as arrays and each chunk's
+word before, word after) in application order.  `event_json` writes
+the events list of the `inject` payload straight from them as JSON text,
+`EVENT_CHUNK` events at a time: classes as arrays, and each chunk's
 exact relative errors in one call to `relerr.error_rows`, which splits
 the chunk's flips into three groups:
 
@@ -35,13 +36,15 @@ the chunk's flips into three groups:
   `rationals.decimal_text` everywhere else;
 * exponent flips into or out of the denormals, by `relerr.error_values`.
 
-The CLI writes those rows straight into its JSON, and `to_payload`
-builds its dicts from them.  So memory is bounded by the event columns
-plus one chunk, whatever the file size.
+The CLI writes that text into its envelope part by part, so its memory
+is bounded by the event columns plus one chunk, whatever the file size.
+`to_payload` reads the same text back into dicts, so both forms of an
+event come from the one f-string in `event_json`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 from collections.abc import Iterable, Iterator
@@ -53,7 +56,7 @@ import numpy as np
 
 from ._vector import CLASS_ORDER, classify_codes
 from .formats import FpClass, FpFormat, Word
-from .relerr import ERROR_KEYS, error_rows
+from .relerr import error_rows
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
@@ -72,7 +75,7 @@ __all__ = [
 
 INJECT_SCHEMA = "flip754/inject-v1"
 WORD_CHUNK = 1 << 16  # words `inject_file` reads, flips and writes at a time
-EVENT_CHUNK = 4096  # events `InjectionSummary.event_rows` renders at a time
+EVENT_CHUNK = 4096  # events `InjectionSummary.event_json` renders at a time
 
 
 def _word_bytes(fmt: FpFormat) -> int:
@@ -214,57 +217,56 @@ class InjectionSummary:
             },
         }
 
-    def event_rows(self, digits: int = 5) -> Iterator[list[tuple]]:
-        """The events in application order, `EVENT_CHUNK` rows at a time.
+    def event_json(self, digits: int, nl: str) -> Iterator[str]:
+        """The events list as `json.dumps(indent=2, sort_keys=True)` writes it.
 
-        A row is (word_index, bit, before, after, class_before,
-        class_after, error): the words as hex, the class names, and the
-        error as `relerr.error_values`, in `relerr.ERROR_KEYS` order.
-        This is the one place an event's printed content is made.  Each
-        chunk's errors come from one `relerr.error_rows` call: a
-        key-determined error is rendered once per chunk, fraction flips
-        on uint64 arrays with an exact fallback for every decimal whose
-        float64 candidate is not certified, and the rest one by one.
+        nl is a newline and the list's own indent.  One part is yielded
+        per `EVENT_CHUNK` events, then the closing one.  This is the one
+        place an event's content and layout are made: each chunk's class
+        codes come from one `_class_codes` call and its errors from one
+        `relerr.error_rows` call, and each event is one f-string.  Every
+        event has the same seven keys and its error either `kind` alone
+        or four keys, so the f-strings give json's sorted keys and
+        indents.  Every string in an event is made of letters, digits and
+        "/.+-", which JSON writes unescaped.
         """
         fmt = self.fmt
-        hex_spec = f"0{fmt.hex_digits}X"
+        x = f"0{fmt.hex_digits}X"  # a word as fixed-width upper-case hex
         names = [cls.value for cls in CLASS_ORDER]
+        i1 = nl + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        k, e = "," + i2, "," + i3  # between an event's keys, between its error's keys
+
+        def error(err: tuple) -> str:
+            if len(err) == 1:
+                return f'{{{i3}"kind": "{err[0]}"{i2}}}'
+            kind, ratio, dec, log2 = err
+            return (
+                f'{{{i3}"decimal": "{dec}"{e}"kind": "{kind}"{e}"log2": {log2!r}'
+                f'{e}"ratio": "{ratio}"{i2}}}'
+            )
+
         for lo in range(0, self.word_index.size, EVENT_CHUNK):
             rows = slice(lo, lo + EVENT_CHUNK)
             src, dst = self._class_codes(rows)
             errors = error_rows(fmt, self.before[rows], self.position[rows], digits)
-            yield [
-                (i, p, f"0x{b:{hex_spec}}", f"0x{a:{hex_spec}}", names[cb], names[ca], err)
+            yield ("," if lo else "[") + i1 + ("," + i1).join(
+                f'{{{i2}"after": "0x{a:{x}}"{k}"before": "0x{b:{x}}"{k}"bit": {p}'
+                f'{k}"class_after": "{names[ca]}"{k}"class_before": "{names[cb]}"'
+                f'{k}"error": {error(err)}{k}"word_index": {i}{i1}}}'
                 for i, p, b, a, cb, ca, err in zip(
                     self.word_index[rows].tolist(), self.position[rows].tolist(),
                     self.before[rows].tolist(), self.after[rows].tolist(),
                     src.tolist(), dst.tolist(), errors,
                 )
-            ]
+            )
+        yield nl + "]" if self.word_index.size else "[]"
 
     def to_payload(self, digits: int = 5) -> dict:
-        """The `inject` payload as one dict, with every event as a dict.
-
-        The CLI prints the same content without building it: it writes
-        `header_payload` and renders `event_rows` into its output a chunk
-        at a time.  This form holds every event at once.
-        """
-        return {
-            **self.header_payload(),
-            "events": [
-                {
-                    "word_index": i,
-                    "bit": p,
-                    "before": b,
-                    "after": a,
-                    "class_before": cb,
-                    "class_after": ca,
-                    "error": dict(zip(ERROR_KEYS, err)),
-                }
-                for rows in self.event_rows(digits)
-                for i, p, b, a, cb, ca, err in rows
-            ],
-        }
+        """The `inject` payload as one dict: the CLI's events text, read back."""
+        events = json.loads("".join(self.event_json(digits, "\n")))
+        return {**self.header_payload(), "events": events}
 
 
 def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import MAX_EXACT_BITS, _round_half_even, floor_log2 as _floor_log2
+from .rationals import MAX_EXACT_BITS, floor_log2 as _floor_log2
 
 __all__ = [
     "FpFormat",
@@ -393,31 +393,11 @@ def encode_nearest(fmt: FpFormat, magnitude: Fraction, sign_bit: int = 0) -> Wor
     """
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative; pass the sign separately")
-    if magnitude == 0:
-        return recompose(fmt, sign_bit, 0, 0)
-
-    emax = fmt.exponent_all_ones - 1  # largest finite biased exponent
-    # Biased exponent of the value: the e with 2^(e-bias) <= magnitude
-    # < 2^(e-bias+1), clamped up to 0 for the subnormal range.
-    e = _floor_log2(magnitude) + fmt.bias
-    if e < 1:
-        e = 0  # subnormal range
-
-    while True:
-        # Stored significand = magnitude / 2^(scale); scale as in decode_value.
-        scale = (e if e else 1) - fmt.bias - fmt.fraction_bits
-        scaled = magnitude * Fraction(2) ** -scale
-        sig = _round_half_even(scaled.numerator, scaled.denominator)
-        limit = 1 << (fmt.fraction_bits + 1)
-        if e == 0 and sig >= limit >> 1:
-            e = 1  # rounding promoted a subnormal to the normal range
-            continue
-        if sig >= limit:
-            e += 1  # significand carry
-            continue
-        break
-
-    if e > emax:
-        return recompose(fmt, sign_bit, fmt.exponent_all_ones, 0)
-    f = sig & fmt.fraction_mask if e else sig
-    return recompose(fmt, sign_bit, e, f)
+    w_f = fmt.fraction_bits
+    # The value's biased exponent, clamped up to 1, the denormals' scale.
+    e = max(_floor_log2(magnitude) + fmt.bias, 1) if magnitude else 1
+    sig = round(magnitude / Fraction(2) ** (e - fmt.bias - w_f))  # ties to even
+    # A carry out of the significand lands on the next binade's first word:
+    # a denormal becomes the smallest normal, the largest finite value Inf.
+    bits = min(((e - 1) << w_f) + sig, fmt.exponent_all_ones << w_f)
+    return recompose(fmt, sign_bit, bits >> w_f, bits & fmt.fraction_mask)

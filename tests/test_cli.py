@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -926,8 +927,30 @@ def test_event_rendering_matches_the_dict_reference_on_narrow_formats(case):
     spec, words, digits, endian, draw = case
     fmt = cli._parse_format(spec)
     _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
-    got = emitted(summary.header_payload(), digits, summary.event_rows(digits), fmt, "inject")
+    got = emitted(summary.header_payload(), digits,
+                  functools.partial(summary.event_json, digits), fmt, "inject")
     assert got == reference_inject_stdout(words, fmt, digits, **draw)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 17])
+@pytest.mark.parametrize("spec", ["binary64", "binary16", "5,2"])
+def test_to_payload_equals_the_printed_payload(tmp_path, spec, digits):
+    # Chunks of 3 events put chunk edges inside the list.  The words are a
+    # denormal, a NaN and the four values below.  5,2 words are narrower
+    # than a byte, so its events go through `_emit` directly.
+    fmt = cli._parse_format(spec)
+    values = (1, Fraction(3, 7), 0, 10**400)  # normalized twice, zero, Inf
+    words = [1, fmt.word_mask >> 1]
+    words += [flip754.encode_nearest(fmt, Fraction(q)).bits for q in values]
+    draw = {"seed": 11, "count": 40}
+    _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)
+    with mock.patch.object(fileio, "EVENT_CHUNK", 3):
+        if fmt.total_bits % 8:
+            out = emitted(summary.header_payload(), digits,
+                          functools.partial(summary.event_json, digits), fmt, "inject")
+        else:
+            out = cli_inject_stdout(tmp_path, spec, words, digits, "little", **draw)
+        assert summary.to_payload(digits) == json.loads(out)["payload"]
 
 
 def inject_emit_peak(directory, count) -> int:

@@ -291,6 +291,43 @@ def test_encode_small_format_halfway_ties():
     assert decode_value(encode_nearest(fmt, Fraction(137, 100))).as_fraction() == Fraction(5, 4)
 
 
+def nearest_word_reference(finite: list[tuple[Fraction, int]], q: Fraction) -> int:
+    """The positive finite word nearest q by exact distance, ties to the even
+    fraction; Inf, the word after the largest, at or past the largest value
+    plus half its ulp.
+
+    `finite` lists (value, bits) of every positive finite word, ascending.
+    """
+    (below, _), (top, top_bits) = finite[-2:]
+    if q >= top + (top - below) / 2:
+        return top_bits + 1
+    return min(finite, key=lambda vb: (abs(vb[0] - q), vb[1] & 1))[1]
+
+
+# Every legal format with at most 8 total bits.
+BYTE_FORMATS = [FpFormat(we, wf) for we in range(2, 7) for wf in range(1, 8 - we)]
+
+
+@pytest.mark.parametrize("fmt", BYTE_FORMATS, ids=lambda f: f.name)
+def test_encode_matches_the_brute_force_nearest_word(fmt):
+    n_finite = fmt.exponent_all_ones << fmt.fraction_bits
+    finite = [(decode_value(Word(b, fmt)).as_fraction(), b) for b in range(n_finite)]
+    values = [v for v, _ in finite]
+    steps = [b - a for a, b in zip(values, values[1:])]
+    top, ulp = values[-1], steps[-1]
+    # Every value, the midpoint and third-points of every gap, and both
+    # sides of the overflow threshold.
+    thirds = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    cases = values + [a + d * k for a, d in zip(values, steps) for k in thirds]
+    tiny = Fraction(1, 2**40)
+    cases += [top + ulp / 2 - tiny, top + ulp / 2, top + ulp / 2 + tiny, 2 * top]
+    sign = 1 << (fmt.total_bits - 1)
+    for q in cases:
+        want = nearest_word_reference(finite, q)
+        assert encode_nearest(fmt, q).bits == want, q
+        assert encode_nearest(fmt, q, 1).bits == want | sign, q
+
+
 def test_word_to_float_requires_binary64():
     with pytest.raises(ValueError):
         word_to_float(Word(0, BINARY32))
