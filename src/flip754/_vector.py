@@ -8,11 +8,17 @@ against them in the test suite.
 
 `FlipKernel` holds the one vector form of the closed-form case analysis
 of a flip (sign; fraction; exponent up, down, into the denormals or off
-the finite range).  The census in `montecarlo` and the bounds sweep in
-`relerr` reduce its outcomes over every (word, position) pair.  The
-campaign reduces them through `outcome_key`: it counts one small key per
-sampled flip and runs the kernel only on representative words of each
-key, weighting each outcome by its key's count.
+the finite range).  It answers three questions per position, and each
+reduction asks only for what it reads:
+
+* the census in `montecarlo` tallies the case label and the destination
+  class (`label`, `dst`) of every (word, position) pair;
+* the campaign tallies the same two through `outcome_key`: it counts one
+  small key per sampled flip and runs the kernel only on representative
+  words of each key, weighting each outcome by its key's count;
+* the bounds sweep in `relerr` counts whether each prediction held
+  (`held`), and reads the label only at exponent positions, where it
+  parts the non-finite and one-sided cases from the conforming ones.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _U1 = np.uint64(1)
 
 
 class Case:
-    """Closed-form cases of one flip, as labelled by `FlipKernel.outcome`.
+    """Closed-form cases of one flip, as labelled by `FlipKernel.label`.
 
     k = w_f - pos is the fraction entry flipped, 2^d the place value of
     the exponent entry flipped.
@@ -120,8 +126,17 @@ class FlipKernel:
     Construction does the work that depends only on the source words:
     fields, class codes, the nonzero-denormal mask and, when the batch
     holds nonzero denormals, msb_index(f) with the leading-entry identity
-    2^lead <= f < 2^(lead+1).  `outcome` then costs one flip and one field
-    split of the after-words per position.
+    2^lead <= f < 2^(lead+1).  Per position the kernel then answers three
+    questions, each computed only when a reduction asks for it:
+
+    * `label(pos)`: the `Case` of each flip, from the source fields only;
+    * `held(pos)`: whether the after-word differs from the source exactly
+      where the case says, which is what the bounds sweep counts;
+    * `dst(pos)`: the class code of each after-word, which the census and
+      the campaign tally with the label.
+
+    `held` and `dst` each cost one flip and one field split of the
+    after-words.
     """
 
     def __init__(self, fmt: FpFormat, bits: np.ndarray) -> None:
@@ -141,44 +156,54 @@ class FlipKernel:
         self._frac_label = np.where(norm, Case.NORM_FRAC, Case.UNDEFINED)
         self._exp_label = np.where(den_nz, Case.DEN_EXP, Case.UNDEFINED)
 
-    def outcome(self, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(case label, prediction held, destination class code) per word.
-
-        `held` is judged from the after-word: the flip of `pos` must change
-        exactly the predicted field entry and leave the other fields as
-        they were; denormal fraction cases also need the leading-entry
-        identity their interval rests on.
-        """
-        fmt, s, e, f = self.fmt, self.s, self.e, self.f
+    def label(self, pos: int) -> np.ndarray:
+        """Case label of the flip of `pos` in each word (UNDEFINED exactly
+        off the normalized and nonzero-denormal words)."""
+        fmt, e, f = self.fmt, self.e, self.f
         w_f = fmt.fraction_bits
-        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos))
-        dst = _class_codes(fmt, e2, f2)
-
         if pos == fmt.total_bits - 1:
-            held = (s2 != s) & (e2 == e) & (f2 == f)
-            return self._sign_label, held, dst
-
+            return self._sign_label
         if pos < w_f:
+            if not self.has_den:
+                return self._frac_label
             bit = _U1 << np.uint64(pos)
-            held = (s2 == s) & (e2 == e) & ((f2 ^ f) == bit)
-            label = self._frac_label
-            if self.has_den:
-                den_label = np.where(
-                    f <= bit, Case.DEN_FRAC_GE,
-                    np.where(f < bit << _U1, Case.DEN_FRAC_MID, Case.DEN_FRAC_LE),
-                )
-                label = np.where(self.den_nz, den_label, label)
-                held &= self.lead_ok
-            return label, held, dst
-
+            den_label = np.where(
+                f <= bit, Case.DEN_FRAC_GE,
+                np.where(f < bit << _U1, Case.DEN_FRAC_MID, Case.DEN_FRAC_LE),
+            )
+            return np.where(self.den_nz, den_label, self._frac_label)
         step = _U1 << np.uint64(pos - w_f)
-        held = (s2 == s) & (f2 == f) & ((e2 ^ e) == step)
         top = np.uint64(fmt.exponent_all_ones)
         up = np.where((e | step) == top, Case.EXP_NONFINITE, Case.EXP_UP)
         to_den = np.where(f == 0, Case.EXP_TO_ZERO, Case.EXP_TO_DEN)
         down = np.where(e == step, to_den, Case.EXP_HALF if pos == w_f else Case.EXP_DOWN)
-        label = np.where(self.norm, np.where((e & step) == 0, up, down), self._exp_label)
-        return label, held, dst
+        return np.where(self.norm, np.where((e & step) == 0, up, down), self._exp_label)
+
+    def held(self, pos: int) -> np.ndarray:
+        """Whether the prediction for the flip of `pos` held, per word.
+
+        Judged from the after-word: the flip must change exactly the
+        predicted field entry and leave the other fields as they were;
+        denormal fraction cases also need the leading-entry identity
+        their interval rests on.
+        """
+        fmt, s, e, f = self.fmt, self.s, self.e, self.f
+        w_f = fmt.fraction_bits
+        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos))
+        if pos == fmt.total_bits - 1:
+            return (s2 != s) & (e2 == e) & (f2 == f)
+        if pos < w_f:
+            held = (s2 == s) & (e2 == e) & ((f2 ^ f) == _U1 << np.uint64(pos))
+            if self.has_den:
+                held &= self.lead_ok
+            return held
+        step = _U1 << np.uint64(pos - w_f)
+        return (s2 == s) & (f2 == f) & ((e2 ^ e) == step)
+
+    def dst(self, pos: int) -> np.ndarray:
+        """Class code of each word after the flip of `pos`."""
+        _, e2, f2 = split_fields(self.fmt, flip_bits(self.bits, pos))
+        return _class_codes(self.fmt, e2, f2)
 
 
 def outcome_key(
@@ -187,9 +212,9 @@ def outcome_key(
     """Outcome key of flipping bit `pos[i]` of each word `bits[i]` of `cls`.
 
     Returns (key, width) with key = pos * width + flags per lane.  The
-    key is a sufficient statistic of `FlipKernel.outcome`: lanes with one
-    key share source class, destination class, case label and, for
-    DEN_FRAC_LE, denormal level (lead - pos).  The flags, none of which
+    key is a sufficient statistic of `FlipKernel.label` and `.dst`: lanes
+    with one key share source class, destination class, case label and,
+    for DEN_FRAC_LE, denormal level (lead - pos).  The flags, none of which
     grows with the exponent width:
 
     * normalized, exponent lanes only, with e2 = e ^ 2^(pos - w_f):

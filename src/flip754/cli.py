@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict
@@ -409,11 +410,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    command("classify", _cmd_classify,
-            "decode one word and report its class and exact value", word)
+    def word_command(name, handler, help) -> argparse.ArgumentParser:
+        p = command(name, handler, help, word)
+        # argparse takes a token starting with "-" for an argument only when
+        # this pattern matches it: by default -2.5, but not -2.5e-310, -1/3
+        # or -inf.  Here it matches every negative word `_parse_word` reads.
+        p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+        return p
 
-    p = command("flip", _cmd_flip,
-                "flip one bit and report the transition and exact error", word)
+    word_command("classify", _cmd_classify,
+                 "decode one word and report its class and exact value")
+
+    p = word_command("flip", _cmd_flip,
+                     "flip one bit and report the transition and exact error")
     p.add_argument("--bit", type=_nonneg_int, required=True,
                    help="bit position to flip (0 = least significant)")
 

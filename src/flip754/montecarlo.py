@@ -12,14 +12,16 @@ Two empirical engines back the closed forms in `analytic`:
   bit-identical across reruns and across worker counts.
 
 Both engines are reductions of the one flip-outcome kernel in `_vector`
-(which `relerr.bounds_sweep` reduces too).  The census calls it once per
-position on each batch of enumerated words.  The campaign never runs it
-per lane: each chunk counts the `_vector.outcome_key` of its lanes in a
-histogram and keeps the smallest and largest word drawn for each key;
-after the merge the kernel runs once per position on those two
-representatives of every key seen, and each outcome is added as many
-times as its key was counted.  The two representatives must agree, so a
-key that missed a dependence of the outcome raises instead of tallying.
+(which `relerr.bounds_sweep` reduces too), and both read only its case
+label and destination class, never its `held` verdict, which is the
+sweep's.  The census calls it once per position on each batch of
+enumerated words.  The campaign never runs it per lane: each chunk
+counts the `_vector.outcome_key` of its lanes in a histogram and keeps
+the smallest and largest word drawn for each key; after the merge the
+kernel runs once per position on those two representatives of every
+key seen, and each outcome is added as many times as its key was
+counted.  The two representatives must agree, so a key that missed a
+dependence of the outcome raises instead of tallying.
 
 `compare` judges either engine's tallies against the closed forms:
 exact rational equality for a census, a binomial z-test for a campaign.
@@ -119,7 +121,7 @@ class _MutableTally:
     def cells(self, kernel: FlipKernel, pos: int) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
         kernel's batch."""
-        label, _, dst = kernel.outcome(pos)
+        label, dst = kernel.label(pos), kernel.dst(pos)
         pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label  # < 16 * 13, a uint8
         column = pos
         if kernel.has_den:

@@ -23,9 +23,11 @@ each flip locus carries a closed-form prediction:
 `check_bounds` reads the matching prediction from a word's fields and
 one position and evaluates it with exact Fractions.  `bounds_sweep`
 judges every position of a whole uint64 array of words with integer
-comparisons only: it is a (case, held) histogram of the flip-outcome
-kernel in `_vector`, the same case analysis that the census and the
-campaign in `montecarlo` tally.
+comparisons only, through the flip-outcome kernel in `_vector` whose
+case labels the census and the campaign in `montecarlo` tally.  It
+counts the kernel's `held` verdicts, and reads case labels only at
+exponent positions, to set non-finite landings and one-sided denormal
+exponent flips apart; it never asks for destination classes.
 """
 
 from __future__ import annotations
@@ -354,37 +356,46 @@ def bounds_sweep(fmt: FpFormat, bits: np.ndarray) -> SweepReport:
     """Check every (word, position) pair of `bits` against the predictions.
 
     Integer arithmetic only, a few thousand times faster than `check_bounds`.
-    A case conforms when the after-word of the vector flip differs from the
-    source exactly where its closed form says; the counters then equal those
-    of `check_bounds` on every pair (tested exhaustively on small formats),
-    and any other after-word counts as a violation.
+    A case is judged when its source is normalized or a nonzero denormal,
+    and its prediction holds when the after-word of the vector flip differs
+    from the source exactly where its closed form says (`FlipKernel.held`);
+    a judged case that does not hold is a violation.  Held cases conform,
+    except at exponent positions, where the case label parts off the flips
+    onto NaN or infinity (nonfinite) and the one-sided denormal exponent
+    flips (informational).  The counters then equal those of `check_bounds`
+    on every pair (tested exhaustively on every format of at most 8 bits).
     """
     b = np.asarray(bits, dtype=np.uint64).ravel()
-    counts = np.zeros((Case.COUNT, 2), dtype=np.int64)  # (case, held)
-    judged = np.arange(Case.COUNT) != Case.UNDEFINED
+    total, w_f = fmt.total_bits, fmt.fraction_bits
+    judged_words = held_cases = nonfinite = informational = 0
     examples: list[tuple[str, int]] = []
     for start in range(0, b.size, BATCH):
         kernel = FlipKernel(fmt, b[start : start + BATCH])
-        for pos in range(fmt.total_bits):
-            label, held, _ = kernel.outcome(pos)
-            here = np.bincount(label * 2 + held, minlength=2 * Case.COUNT).reshape(Case.COUNT, 2)
-            counts += here
-            if len(examples) < 10 and here[judged, 0].any():
-                bad = np.flatnonzero(~held & (label != Case.UNDEFINED))
+        judged = kernel.norm | kernel.den_nz
+        n_judged = int(np.count_nonzero(judged))
+        judged_words += n_judged
+        for pos in range(total):
+            kept = kernel.held(pos) & judged
+            n_kept = int(np.count_nonzero(kept))
+            held_cases += n_kept
+            if w_f <= pos < total - 1:
+                label = kernel.label(pos)
+                nonfinite += int(np.count_nonzero(kept & (label == Case.EXP_NONFINITE)))
+                informational += int(np.count_nonzero(kept & (label == Case.DEN_EXP)))
+            if n_kept < n_judged and len(examples) < 10:
+                bad = np.flatnonzero(judged & ~kept)
                 examples += [
                     (Word(int(kernel.bits[i]), fmt).hex(), pos)
                     for i in bad[: 10 - len(examples)]
                 ]
 
-    missed, kept = counts[:, 0], counts[:, 1]
-    nonfinite, informational = int(kept[Case.EXP_NONFINITE]), int(kept[Case.DEN_EXP])
     return SweepReport(
         fmt=fmt,
-        cases=b.size * fmt.total_bits,
-        conforms=int(kept[judged].sum()) - nonfinite - informational,
-        violations=int(missed[judged].sum()),
+        cases=b.size * total,
+        conforms=held_cases - nonfinite - informational,
+        violations=judged_words * total - held_cases,
         informational=informational,
         nonfinite=nonfinite,
-        undefined=int(counts[Case.UNDEFINED].sum()),
+        undefined=(b.size - judged_words) * total,
         violation_examples=tuple(examples),
     )

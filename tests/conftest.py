@@ -27,6 +27,9 @@ from flip754 import (
 
 SMALL_FORMATS = [FpFormat(2, 1), FpFormat(3, 2), FpFormat(4, 3)]
 
+# Every legal format with at most 8 total bits.
+BYTE_FORMATS = [FpFormat(we, wf) for we in range(2, 7) for wf in range(1, 8 - we)]
+
 # Every legal format with at most 12 total bits.
 TINY_FORMATS = [
     FpFormat(we, wf)
@@ -143,10 +146,23 @@ def _exponent_mis_split(real, fmt):
     return split_fields
 
 
+def _fraction_mis_split(real, fmt):
+    """split_fields that drops the lowest fraction bit.  The flip of bit 0
+    then leaves the split fraction as it was, so only a field-wise check
+    of the after-word sees it: the whole words still differ in bit 0."""
+
+    def split_fields(fmt_, bits):
+        s, e, f = real(fmt_, bits)
+        return s, e, f & ~np.uint64(1)
+
+    return split_fields
+
+
 PLANTED_FAULTS = {
     "wrong_bit_flip": ("flip_bits", _wrong_bit_flip),
     "msb_off_by_one": ("msb_index", _msb_off_by_one),
     "exponent_mis_split": ("split_fields", _exponent_mis_split),
+    "fraction_mis_split": ("split_fields", _fraction_mis_split),
 }
 
 

@@ -705,6 +705,28 @@ def test_exit_two_on_usage_errors(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["-2.5e-310", "-inf", "-nan", "-1/3", "-1e5"])
+def test_negative_words_need_no_separator(capsys, word):
+    for argv, separated in (
+        (["classify", word], ["classify", "--", word]),
+        (["flip", word, "--bit", "3"], ["flip", "--bit", "3", "--", word]),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert run_cli(capsys, *separated)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-x"),
+    ("classify", "1.0", "--bogus"),
+    ("classify", "-inf", "-x"),
+    ("flip", "-x", "--bit", "3"),
+], ids=" ".join)
+def test_unknown_options_are_still_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("usage: flip754")
+
+
 def test_inject_usage_errors(capsys, tmp_path):
     stream = tmp_path / "in.bin"
     stream.write_bytes(struct.pack("<d", 1.0))

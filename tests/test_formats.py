@@ -37,7 +37,7 @@ from flip754 import (
     word_from_float,
     word_to_float,
 )
-from conftest import SMALL_FORMATS, iter_class_words
+from conftest import BYTE_FORMATS, SMALL_FORMATS, iter_class_words
 
 ALL_CLASSES = list(FpClass)
 
@@ -303,9 +303,6 @@ def nearest_word_reference(finite: list[tuple[Fraction, int]], q: Fraction) -> i
         return top_bits + 1
     return min(finite, key=lambda vb: (abs(vb[0] - q), vb[1] & 1))[1]
 
-
-# Every legal format with at most 8 total bits.
-BYTE_FORMATS = [FpFormat(we, wf) for we in range(2, 7) for wf in range(1, 8 - we)]
 
 
 @pytest.mark.parametrize("fmt", BYTE_FORMATS, ids=lambda f: f.name)

@@ -39,10 +39,16 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
-from flip754 import rationals
+from flip754 import rationals, relerr
 from flip754.rationals import MAX_EXACT_BITS, ratio_str
 from flip754.relerr import error_ratio, error_rows, error_values
-from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, fraction_relative_error
+from conftest import (
+    BYTE_FORMATS,
+    PLANTED_FAULTS,
+    SMALL_FORMATS,
+    TINY_FORMATS,
+    fraction_relative_error,
+)
 
 
 # ── relative_error itself ─────────────────────────────────────────────────
@@ -298,12 +304,13 @@ def test_check_bounds_matches_golden():
 # ── vector sweep vs scalar path ───────────────────────────────────────────
 
 
-def _scalar_categories(fmt: FpFormat) -> dict[str, int]:
+def _scalar_categories(fmt: FpFormat, words) -> dict[str, int]:
+    """`SweepReport` counters recounted with scalar `check_bounds`."""
     counts = dict.fromkeys(
         ["conforms", "violations", "informational", "nonfinite", "undefined"], 0
     )
-    for bits in range(1 << fmt.total_bits):
-        w = Word(bits, fmt)
+    for bits in words:
+        w = Word(int(bits), fmt)
         for pos in range(fmt.total_bits):
             chk = check_bounds(w, pos)
             if chk.error.kind is ErrorKind.UNDEFINED:
@@ -319,18 +326,69 @@ def _scalar_categories(fmt: FpFormat) -> dict[str, int]:
     return counts
 
 
-def test_sweep_agrees_with_scalar_checks(small_format):
-    fmt = small_format
+def _sweep_categories(rep) -> dict[str, int]:
+    return {
+        "conforms": rep.conforms, "violations": rep.violations,
+        "informational": rep.informational, "nonfinite": rep.nonfinite,
+        "undefined": rep.undefined,
+    }
+
+
+@pytest.mark.parametrize("fmt", BYTE_FORMATS, ids=lambda f: f.name)
+def test_sweep_agrees_with_scalar_checks(fmt):
     bits = np.arange(1 << fmt.total_bits, dtype=np.uint64)
     rep = bounds_sweep(fmt, bits)
-    scalar = _scalar_categories(fmt)
+    scalar = _scalar_categories(fmt, range(1 << fmt.total_bits))
     assert rep.cases == (1 << fmt.total_bits) * fmt.total_bits
-    assert rep.conforms == scalar["conforms"]
-    assert rep.violations == scalar["violations"] == 0
-    assert rep.informational == scalar["informational"]
-    assert rep.nonfinite == scalar["nonfinite"]
-    assert rep.undefined == scalar["undefined"]
+    assert _sweep_categories(rep) == scalar
+    assert scalar["violations"] == 0
     assert rep.violation_examples == ()
+
+
+def _binary64_words(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """n binary64 words of one kind: normalized, denormal (nonzero), zero,
+    nan or inf.  Normalized words draw from the edge exponents too, whose
+    flips land on the all-ones code, in the denormals or on zero."""
+    top, w_f = BINARY64.exponent_all_ones, BINARY64.fraction_bits
+    s = rng.integers(0, 2, n, dtype=np.uint64)
+    f = rng.integers(1, BINARY64.fraction_mask + 1, n, dtype=np.uint64)
+    if kind == "normalized":
+        edge = [top ^ (1 << k) for k in range(11)] + [1 << k for k in range(11)]
+        e = rng.choice(np.array(edge + [5, 1023, top - 1] * 8, np.uint64), n)
+        f[::3] = 0
+    elif kind == "denormal":
+        e, f = 0, f >> rng.integers(0, w_f, n, dtype=np.uint64) | np.uint64(1)
+    else:
+        e, f = (0, 0) if kind == "zero" else (top, f if kind == "nan" else 0)
+    return s << np.uint64(63) | np.uint64(e) << np.uint64(w_f) | np.uint64(f)
+
+
+def test_sweep_agrees_with_scalar_checks_on_binary64_batches(monkeypatch):
+    """Batches of 64 words: normalized only (no denormal); every kind;
+    undefined only; every kind; and a partial batch of every kind."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(13)))
+    every = {"normalized": 32, "denormal": 16, "zero": 6, "nan": 5, "inf": 5}
+    batches = [
+        {"normalized": 64},
+        every,
+        {"zero": 22, "nan": 21, "inf": 21},
+        every,
+        {"normalized": 20, "denormal": 12, "zero": 4, "nan": 4, "inf": 4},
+    ]
+    bits = np.concatenate([
+        rng.permutation(np.concatenate([_binary64_words(rng, k, n) for k, n in mix.items()]))
+        for mix in batches
+    ])
+    assert bits.size == 300
+    monkeypatch.setattr(relerr, "BATCH", 64)
+    rep = bounds_sweep(BINARY64, bits)
+    scalar = _scalar_categories(BINARY64, bits.tolist())
+    assert rep.cases == bits.size * 64
+    assert _sweep_categories(rep) == scalar
+    assert scalar["violations"] == 0
+    assert min(scalar[k] for k in ("conforms", "informational", "nonfinite", "undefined")) > 0
+    monkeypatch.undo()
+    assert bounds_sweep(BINARY64, bits) == rep
 
 
 def test_sweep_on_sampled_binary64():
