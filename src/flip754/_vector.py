@@ -1,10 +1,9 @@
 """Internal numpy kernels shared by the census, campaign and sweep engines.
 
 Everything here works on uint64 arrays of raw words and stays exact:
-field splits and flips are pure bit arithmetic, and msb_index falls back
-to Python integers where float64 could misround.  The scalar routines in
-`formats` remain the reference semantics; these kernels are checked
-against them in the test suite.
+field splits, flips and `msb_index` are pure bit arithmetic, with no
+float64 step.  The scalar routines in `formats` remain the reference
+semantics; these kernels are checked against them in the test suite.
 
 `FlipKernel` holds the one vector form of the closed-form case analysis
 of a flip (sign; fraction; exponent up, down, into the denormals or off
@@ -105,16 +104,13 @@ def flip_bits(bits: np.ndarray, pos: np.ndarray | int) -> np.ndarray:
 def msb_index(values: np.ndarray) -> np.ndarray:
     """floor(log2(v)) per element for positive values; zeros give -1.
 
-    frexp on float64 is exact below 2^53.  Above, rounding to float64 can
-    carry v up to the next power of two, one too high and never more;
-    then v >> out is 0, and one is taken off.
+    Smearing the leading one into every lower place leaves 2^(k+1) - 1
+    for a value with leading place k, which has k + 1 ones.
     """
-    v = np.asarray(values, dtype=np.uint64)
-    _, exp = np.frexp(v.astype(np.float64))
-    out = exp.astype(np.int64) - 1
-    shift = np.clip(out, 0, 63).astype(np.uint64)
-    out -= ((v >> shift) == 0) & (v != 0) | (out > 63)
-    return out
+    v = np.array(values, dtype=np.uint64)  # a copy, smeared in place
+    for k in (1, 2, 4, 8, 16, 32):
+        v |= v >> np.uint64(k)
+    return np.bitwise_count(v).astype(np.int64) - 1
 
 
 # ── the flip-outcome kernel ───────────────────────────────────────────────
@@ -249,7 +245,7 @@ def outcome_key(
     _, e, f = split_fields(fmt, b)
     if cls is FpClass.DENORMALIZED:
         width = 2 * (w_f + 1)
-        pow2 = ((f & (f - _U1)) == 0) & (f != 0)
+        pow2 = np.bitwise_count(f) == 1
         return p.astype(np.intp) * width + 2 * (msb_index(f) + 1) + pow2, width
     if cls is FpClass.NAN:
         return p.astype(np.intp) * 2 + (f == _U1 << p), 2

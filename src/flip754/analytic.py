@@ -248,9 +248,14 @@ def decimal_threshold_bounds(fmt: FpFormat, tolerance: Fraction) -> ThresholdBou
     )
 
 
-def tolerance_table(fmt: FpFormat, max_power: int = 15) -> list[ThresholdBounds]:
-    """Brackets for the decimal tolerances 10^-1 .. 10^-max_power."""
-    return [
-        decimal_threshold_bounds(fmt, Fraction(1, 10**m))
-        for m in range(1, max_power + 1)
-    ]
+def tolerance_table(fmt: FpFormat) -> list[ThresholdBounds]:
+    """Brackets for the decimal tolerances 10^-1, 10^-2, ... down to the
+    finest the format resolves, and at most 10^-15; empty when even 10^-1
+    needs a dyadic level finer than 2^-w_f."""
+    table = []
+    for m in range(1, 16):
+        try:
+            table.append(decimal_threshold_bounds(fmt, Fraction(1, 10**m)))
+        except ToleranceResolutionError:  # so is every finer tolerance
+            break
+    return table

@@ -23,18 +23,9 @@ The summary keeps the events as four column arrays (word index, bit,
 word before, word after) in application order.  `event_json` writes
 the events list of the `inject` payload straight from them as JSON text,
 `EVENT_CHUNK` events at a time: classes as arrays, and each chunk's
-exact relative errors in one call to `relerr.error_rows`, which splits
-the chunk's flips into three groups:
-
-* errors a small key decides (undefined sources, sign flips, exponent
-  flips of normalized words that stay off exponent 0), each key
-  rendered once per chunk by the scalar `relerr.error_values`;
-* fraction flips of finite nonzero words, whose lowest-terms ratio
-  2^(pos - z) / (m >> z) is computed on uint64 for the whole chunk; the
-  decimal comes from a float64 candidate only where
-  `rationals.decimal_texts` certifies it, and from the exact integer
-  `rationals.decimal_text` everywhere else;
-* exponent flips into or out of the denormals, by `relerr.error_values`.
+exact relative errors in one call to `relerr.error_rows` (its docstring
+says how it groups a chunk's flips, and `rationals` which decimals come
+from float64).
 
 The CLI writes that text into its envelope part by part, so its memory
 is bounded by the event columns plus one chunk, whatever the file size.

@@ -204,6 +204,8 @@ class ExactValue:
         """The exact value; ValueError when |scale| passes `MAX_EXACT_BITS`."""
         if not self.is_finite:
             raise ValueError(f"{self.kind.value} has no rational value")
+        if self.significand == 0:  # zero is exact at any scale
+            return Fraction(0)
         if not -MAX_EXACT_BITS <= self.scale <= MAX_EXACT_BITS:
             raise ValueError(
                 f"the exact value needs a scale of 2^{self.scale}, "
@@ -393,9 +395,11 @@ def encode_nearest(fmt: FpFormat, magnitude: Fraction, sign_bit: int = 0) -> Wor
     """
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative; pass the sign separately")
+    if not magnitude:  # the denormal scale of a wide format is too large to build
+        return recompose(fmt, sign_bit, 0, 0)
     w_f = fmt.fraction_bits
     # The value's biased exponent, clamped up to 1, the denormals' scale.
-    e = max(_floor_log2(magnitude) + fmt.bias, 1) if magnitude else 1
+    e = max(_floor_log2(magnitude) + fmt.bias, 1)
     sig = round(magnitude / Fraction(2) ** (e - fmt.bias - w_f))  # ties to even
     # A carry out of the significand lands on the next binade's first word:
     # a denormal becomes the smallest normal, the largest finite value Inf.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
 
@@ -399,17 +399,7 @@ class ComparisonReport:
             "sigma": self.sigma,
             "min_p": self.min_p,
             "passed": self.passed,
-            "cells": [
-                {
-                    "name": c.name,
-                    "expected": ratio_str(c.expected),
-                    "observed": c.observed,
-                    "total": c.total,
-                    "z": c.z,
-                    "passed": c.passed,
-                }
-                for c in self.cells
-            ],
+            "cells": [{**asdict(c), "expected": ratio_str(c.expected)} for c in self.cells],
         }
 
 

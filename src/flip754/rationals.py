@@ -4,8 +4,10 @@ Probabilities and relative errors live as `fractions.Fraction` end to end;
 decimals appear only here, at the presentation layer.  Rendering keeps a
 fixed number of significant digits (round half to even) and never strips
 trailing zeros, so 41/50 at five digits is "0.82000", not "0.82".  It
-works on the numerator and denominator as integers: one scaling by a
-power of ten and one `divmod`, no Fraction arithmetic.
+is one `decimal` division of the numerator by the denominator, in a
+context of `digits` digits of precision: `decimal` takes integer
+operands exactly and rounds the quotient correctly, so no Fraction
+arithmetic is needed and the decade of the result comes with it.
 
 Each renderer has an integer core taking the numerator and denominator
 (`decimal_text`, `ratio_text`, `log2_ratio`) under its Fraction form, so
@@ -21,16 +23,18 @@ digits in positional or scientific form for both paths.
 Integers of any size print in full: CPython's `str(int)` raises
 ValueError past `sys.get_int_max_str_digits()` digits (4,300 by
 default), and an exponent flip in a format with 15 or more exponent
-bits has an error of 2^16384 - 1 or more.  Such integers print through
-`Decimal`, which has no digit limit and writes an integer's exact digits.
+bits has an error of 2^16384 - 1 or more.  `ratio_text` prints such
+integers through `Decimal`, which has no digit limit and writes an
+integer's exact digits; `decimal_text` never converts an int to text.
 Past `MAX_EXACT_BITS` the exact forms are refused instead.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +54,11 @@ __all__ = [
 # carry; `formats.ExactValue.as_fraction` and `relerr.error_ratio` raise
 # ValueError past it.  Every word and flip of a format with at most 16
 # exponent bits stays within it.  It bounds the time to render one
-# error: `relerr.error_values` of 2^(2^16) - 1 takes 17 ms, of
-# 2^(2^17) - 1 64 ms, and the time grows faster than the bit count, to
-# seconds at 2^(2^20) - 1 (Python 3.11, one core of a Xeon).  A 62-bit
-# exponent field would ask for integers of 2^61 bits, which cannot be
-# allocated at all.
+# error: `relerr.error_values` of 2^(2^16) - 1 takes 14 ms, and the
+# ratio and decimal of 2^(2^17) - 1 take 52 ms; the time grows faster
+# than the bit count, to 3.4 s at 2^(2^20) - 1 (Python 3.11, one core
+# of a 2-CPU Xeon).  A 62-bit exponent field would ask for integers of
+# 2^61 bits, which cannot be allocated at all.
 MAX_EXACT_BITS = 1 << 16
 
 
@@ -73,23 +77,19 @@ def decimal_text(n: int, d: int, digits: int = 5) -> str:
         raise ValueError("need at least one significant digit")
     if n == 0:
         return "0"
-    sign = "-" if n < 0 else ""
-    n = abs(n)
+    ctx = _context(digits)
+    q = ctx.divide(Decimal(abs(n)), Decimal(d))
+    e10 = q.adjusted()
+    ds = f"{q.scaleb(digits - 1 - e10, ctx):f}"  # pads an exact short quotient
+    return ("-" if n < 0 else "") + _decimal_layout(ds, e10)
 
-    e10 = _floor_log10(n, d)
-    shift = digits - 1 - e10
-    if shift >= 0:
-        m = _round_half_even(n * 10**shift, d)
-    else:
-        m = _round_half_even(n, d * 10**-shift)
-    if m == 10**digits:  # rounding carried into the next decade
-        m //= 10
-        e10 += 1
-    try:
-        ds = str(m)
-    except ValueError:  # past the int-to-str digit limit
-        ds = str(Decimal(m))
-    return sign + _decimal_layout(ds, e10)
+
+@lru_cache(maxsize=64)
+def _context(digits: int) -> Context:
+    """Round half to even at `digits` significant digits, over the widest
+    exponent range, so that no quotient overflows or underflows.  Cached,
+    since building a context takes longer than the division itself."""
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # Float64 powers of ten, each correctly rounded, for `_float_decimals`.
@@ -207,20 +207,3 @@ def parse_rational(text: str) -> Fraction:
     except (InvalidOperation, ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational: {text!r}") from None
 
-
-def _floor_log10(n: int, d: int) -> int:
-    """Exact floor(log10(n/d)) for positive integers n and d."""
-    # Decimal digit counts pin the result to {k-1, k}; settle exactly.
-    try:
-        k = len(str(n)) - len(str(d))
-    except ValueError:  # past the int-to-str digit limit
-        k = len(str(Decimal(n))) - len(str(Decimal(d)))
-    return k if (n >= d * 10**k if k >= 0 else n * 10**-k >= d) else k - 1
-
-
-def _round_half_even(n: int, d: int) -> int:
-    """Round n/d (n >= 0, d > 0) to the nearest integer, ties to even."""
-    m, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and m & 1):
-        return m + 1
-    return m

@@ -238,9 +238,26 @@ def test_tolerance_resolution_limit():
 
 
 def test_tolerance_table_small_format_raises_past_resolution():
+    binary16 = FpFormat(5, 10)
     with pytest.raises(ToleranceResolutionError):
-        tolerance_table(FpFormat(5, 10))  # 10^-15 needs level 50 > 10
-    rows = tolerance_table(FpFormat(5, 10), max_power=3)
+        decimal_threshold_bounds(binary16, Fraction(1, 10**4))  # needs level 14 > 10
+    rows = tolerance_table(binary16)  # so the default table stops at 10^-3
     assert [r.tolerance for r in rows] == [
         Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)
     ]
+
+
+@pytest.mark.parametrize("fmt", [
+    BINARY64, FpFormat(8, 23), FpFormat(5, 10), FpFormat(15, 16), FpFormat(30, 33),
+    FpFormat(11, 49), FpFormat(11, 50), FpFormat(2, 60), FpFormat(4, 4), FpFormat(4, 3),
+    FpFormat(62, 1),
+], ids=lambda fmt: fmt.name)
+def test_tolerance_table_stops_at_the_format_resolution(fmt):
+    """Rows 10^-1 .. 10^-m for the last m <= 15 the format resolves: 10^-m
+    needs level floor(log2(10^m)) + 1, so m runs while 10^m < 2^w_f."""
+    rows = tolerance_table(fmt)
+    powers = [m for m in range(1, 16) if 10**m < 2**fmt.fraction_bits]
+    assert rows == [decimal_threshold_bounds(fmt, Fraction(1, 10**m)) for m in powers]
+    if len(rows) < 15:
+        with pytest.raises(ToleranceResolutionError):
+            decimal_threshold_bounds(fmt, Fraction(1, 10 ** (len(rows) + 1)))

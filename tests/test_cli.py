@@ -523,7 +523,8 @@ def json_cells(command: str, payload: dict) -> list[list[str]]:
 
 TABULAR = [
     ("table",), ("intervals",), ("intervals", "--convention", "separated"),
-    ("cdf",), ("cdf", "--i", "3"), ("bounds", "--tol", "1/4"), ("bounds", "--tol", "1/5"),
+    ("cdf",), ("cdf", "--i", "3"), ("bounds",), ("bounds", "--tol", "1/4"),
+    ("bounds", "--tol", "1/5"),
 ]
 
 
@@ -655,6 +656,26 @@ def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
                                  "--seed", str(seed))
         assert (code, out) == (2, "")
         assert f"flipping bit {bit} " in err and "past the limit" in err
+
+
+@pytest.mark.parametrize("spec", ["binary64", "20,11", "30,33", "62,1"])
+def test_zero_prints_at_every_width(capsys, spec):
+    """Zero is exact whatever the format's scale, down to -0 in 62,1."""
+    sign_bit = cli._parse_format(spec).total_bits - 1
+    for word, s in (("0x0", 0), ("0", 0), ("-0", 1)):
+        payload = run_json(capsys, "classify", word, "--format", spec)["payload"]
+        assert payload["fields"] == {"s": s, "e": 0, "f": 0}
+        assert payload["value"] == {
+            "kind": "finite", "sign": 1 - 2 * s, "ratio": "0", "decimal": "0",
+            "log2_magnitude": None,
+        }
+    for word, s in (("0x0", 0), ("-0", 1)):
+        payload = run_json(capsys, "flip", word, "--format", spec, "--bit", str(sign_bit))["payload"]
+        assert payload["before"]["fields"] == {"s": s, "e": 0, "f": 0}
+        assert payload["after"]["fields"] == {"s": 1 - s, "e": 0, "f": 0}
+        assert payload["after"]["value"]["ratio"] == "0"
+        assert payload["error"] == {"kind": "undefined"}
+        assert payload["check"]["status"] == "informational"
 
 
 @pytest.mark.parametrize("spec, word", [("62,1", 0x3), ("23,8", 0x100)])

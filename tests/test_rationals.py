@@ -114,8 +114,9 @@ def fraction_decimal_str(q: Fraction, digits: int) -> str:
 
 @st.composite
 def rationals_to_render(draw):
-    """Wide rationals, plus values near decade carries and the window edges."""
-    digits = draw(st.integers(1, 17))
+    """Wide rationals, plus values near decade carries and the window edges,
+    at precisions on both sides of the `decimal` module's default of 28."""
+    digits = draw(st.integers(1, 60))
     sign = draw(st.sampled_from([1, -1]))
     kind = draw(st.sampled_from(["wide", "carry", "edge"]))
     if kind == "wide":
@@ -136,6 +137,15 @@ def rationals_to_render(draw):
 @settings(max_examples=600)
 def test_decimal_str_matches_fraction_reference(case):
     q, digits = case
+    assert decimal_str(q, digits) == fraction_decimal_str(q, digits)
+
+
+@pytest.mark.parametrize("digits", [28, 29, 40, 60])
+@pytest.mark.parametrize("q", [
+    Fraction(1, 3), Fraction(-2, 3), Fraction(1, 2), Fraction(10**50 + 1, 7),
+    Fraction(10**45 - 1, 10**60), Fraction(2**200 + 1, 2**100),
+], ids=["1/3", "-2/3", "1/2", "(10^50+1)/7", "(10^45-1)/10^60", "(2^200+1)/2^100"])
+def test_decimal_str_past_the_default_decimal_precision(q, digits):
     assert decimal_str(q, digits) == fraction_decimal_str(q, digits)
 
 

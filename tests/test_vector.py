@@ -10,9 +10,10 @@ from flip754._vector import msb_index
 
 
 def test_msb_index_matches_bit_length_at_every_power_of_two():
-    # 2^k - 1, 2^k and 2^k + 1 straddle each place where float64 rounding
-    # of a wide value could carry into the next power of two.
+    # 2^k - 1, 2^k and 2^k + 1 straddle each place where the leading one
+    # moves up: the smear must fill every place below it and none above.
     values = sorted({v for k in range(63) for v in ((1 << k) - 1, 1 << k, (1 << k) + 1)})
+    # Words of the full 64 bits, whose leading one the widest shift must reach.
     values += [(1 << 64) - 1, (1 << 64) - 1024, (1 << 63) + 1]
     got = msb_index(np.array(values, dtype=np.uint64)).tolist()
     assert got == [v.bit_length() - 1 for v in values]  # 0 gives -1
