@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from ._vector import CLASS_ORDER
 from .formats import FpClass, FpFormat
-from .rationals import floor_log2
+from .rationals import floor_log2, ratio_str
 
 __all__ = [
     "BucketConvention",
@@ -235,7 +235,7 @@ def decimal_threshold_bounds(fmt: FpFormat, tolerance: Fraction) -> ThresholdBou
     i_lower = i_upper if Fraction(1, 2**i_upper) == tolerance else i_upper + 1
     if i_lower > fmt.fraction_bits:
         raise ToleranceResolutionError(
-            f"tolerance {tolerance} needs dyadic level 2^-{i_lower}, finer "
+            f"tolerance {ratio_str(tolerance)} needs dyadic level 2^-{i_lower}, finer "
             f"than the format's resolution 2^-{fmt.fraction_bits}"
         )
     return ThresholdBounds(

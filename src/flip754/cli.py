@@ -18,10 +18,12 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from ._vector import CLASS_ORDER
@@ -65,6 +67,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
+# A decimal literal whose leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT
+# is never built as an exact rational (10^2000000 alone takes 0.7 s).  A
+# finite nonzero word that far out needs a scale past MAX_EXACT_BITS on
+# every format: 10^20000 > 2^66438, and a word's scale lies below its
+# binade's exponent by the fraction width, at most 61 bits.
+DECIMAL_EXPONENT_LIMIT = 20_000
+
 
 # ── argument parsing ──────────────────────────────────────────────────────
 
@@ -97,7 +106,33 @@ def _parse_word(fmt: FpFormat, text: str) -> Word:
     if body == "nan":
         # canonical quiet NaN: highest fraction entry set
         return recompose(fmt, sign, fmt.exponent_all_ones, 1 << (fmt.fraction_bits - 1))
-    return encode_nearest(fmt, abs(parse_rational(t)), sign)
+    far = _far_decimal(fmt, t, sign)
+    return far if far is not None else encode_nearest(fmt, abs(parse_rational(t)), sign)
+
+
+def _far_decimal(fmt: FpFormat, text: str, sign: int) -> Word | None:
+    """±0 or ±inf for a decimal literal past 10^±DECIMAL_EXPONENT_LIMIT
+    whose whole decade [10^a, 10^(a+1)) rounds there; None for any nearer
+    literal or rational.  The decade's log2 ends are floats, each within a
+    relative 2^-51 of the exact value."""
+    try:
+        dec = Decimal(text)
+    except InvalidOperation:  # a rational such as 13/128, or no number
+        return None
+    a = dec.adjusted()
+    if not dec.is_finite() or not dec or abs(a) <= DECIMAL_EXPONENT_LIMIT:
+        return None
+    lo, hi = a * math.log2(10), (a + 1) * math.log2(10)
+    slack = max(abs(lo), abs(hi)) * 2.0**-50
+    if hi + slack <= -(fmt.bias + fmt.fraction_bits):  # at most half the least denormal
+        return recompose(fmt, sign, 0, 0)
+    if lo - slack >= fmt.bias + 1:  # at least 2^(emax + 1), past the overflow threshold
+        return recompose(fmt, sign, fmt.exponent_all_ones, 0)
+    raise ValueError(
+        f"{text!r} lies past 10^+-{DECIMAL_EXPONENT_LIMIT}, where a literal is read only "
+        f"if its whole decade rounds to +-0 or +-inf: any other word that far out needs "
+        f"a scale past the limit of {MAX_EXACT_BITS} bits"
+    )
 
 
 def _positive_int(text: str) -> int:

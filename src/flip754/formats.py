@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .rationals import MAX_EXACT_BITS, floor_log2 as _floor_log2
+from .rationals import MAX_EXACT_BITS, floor_log2 as _floor_log2, ratio_str
 
 __all__ = [
     "FpFormat",
@@ -222,7 +222,7 @@ class ExactValue:
             return "+inf" if self.sign > 0 else "-inf"
         if self.significand == 0:
             return "0" if self.sign > 0 else "-0"
-        return str(self.as_fraction())
+        return ratio_str(self.as_fraction())
 
 
 # ── Decoding operations ──────────────────────────────────────────
@@ -400,7 +400,13 @@ def encode_nearest(fmt: FpFormat, magnitude: Fraction, sign_bit: int = 0) -> Wor
     w_f = fmt.fraction_bits
     # The value's biased exponent, clamped up to 1, the denormals' scale.
     e = max(_floor_log2(magnitude) + fmt.bias, 1)
-    sig = round(magnitude / Fraction(2) ** (e - fmt.bias - w_f))  # ties to even
+    # The significand is magnitude / 2^k rounded, in integers: a Fraction
+    # quotient would reduce by a gcd of numbers as wide as the scale, which
+    # takes minutes at a scale of millions of bits.
+    k = e - fmt.bias - w_f
+    n, d = magnitude.numerator << max(-k, 0), magnitude.denominator << max(k, 0)
+    sig, rest = divmod(n, d)
+    sig += 2 * rest > d or (2 * rest == d and sig & 1)  # ties to even
     # A carry out of the significand lands on the next binade's first word:
     # a denormal becomes the smallest normal, the largest finite value Inf.
     bits = min(((e - 1) << w_f) + sig, fmt.exponent_all_ones << w_f)

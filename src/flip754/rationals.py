@@ -38,14 +38,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# Unexported: decimal_text(s), ratio_text and log2_ratio are integer cores for sibling modules.
 __all__ = [
     "decimal_str",
-    "decimal_text",
-    "decimal_texts",
     "ratio_str",
-    "ratio_text",
     "log2_value",
-    "log2_ratio",
     "parse_rational",
     "floor_log2",
 ]
@@ -164,7 +161,7 @@ def ratio_str(q: Fraction) -> str:
 
 
 def ratio_text(n: int, d: int) -> str:
-    """`ratio_str` of n/d, for n and d > 0 already in lowest terms."""
+    """`ratio_str` of n/d, for d > 0 and n/d already in lowest terms."""
     try:
         return f"{n}/{d}" if d != 1 else str(n)
     except ValueError:  # past the int-to-str digit limit

@@ -48,6 +48,7 @@ from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, 
 from ._vector import classify_codes, flip_bits  # noqa: F401
 from .formats import decode_value, flip_bit  # noqa: F401
 
+# Unexported: error_ratio/values/rows/payload are integer cores for sibling modules.
 __all__ = [
     "ErrorKind",
     "RelativeError",
@@ -56,10 +57,6 @@ __all__ = [
     "BoundsCheck",
     "SweepReport",
     "relative_error",
-    "error_ratio",
-    "error_values",
-    "error_rows",
-    "error_payload",
     "check_bounds",
     "bounds_sweep",
 ]

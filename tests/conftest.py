@@ -7,11 +7,14 @@ they are used to check.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flip754
 from flip754 import _vector
 from flip754 import (
     ErrorKind,
@@ -36,6 +39,14 @@ TINY_FORMATS = [
     for we in range(2, 11)
     for wf in range(1, 12 - we)
 ]
+
+
+def package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    package_root = str(Path(flip754.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
 
 
 @pytest.fixture(params=SMALL_FORMATS, ids=lambda f: f.name)

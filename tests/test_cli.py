@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -33,6 +34,7 @@ from flip754 import cli, fileio
 from flip754.cli import CLI_SCHEMA, main
 from flip754.formats import FpClass
 from flip754.relerr import error_payload
+from conftest import package_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,14 +139,6 @@ def test_inject_goldens_cover_repeated_words_and_sites():
         for i in range(len(sites))
         for j in range(i + 1, len(sites))
     )
-
-
-def package_env() -> dict:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    package_root = str(Path(flip754.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )}
 
 
 def test_console_script_matches_golden():
@@ -692,6 +686,91 @@ def test_inject_of_every_exponent_flip_is_refused_within_seconds(tmp_path, spec,
         capture_output=True, text=True, timeout=10, env=package_env(),
     )
     assert (out.returncode, out.stdout) == (2, "") and "past the limit" in out.stderr
+
+
+# A decimal literal past 10^+-DECIMAL_EXPONENT_LIMIT is never built as an
+# exact rational.  Each case below ran past 60 s (30,33) or took 30 s
+# (binary64) when it was.
+FAR_LITERALS = [
+    (("classify", "1e-2000000", "--format", "30,33"), None),
+    (("classify", "1e2000000", "--format", "30,33"), None),
+    (("classify", "1e-20000000"), ("classify", "0")),
+    (("classify", "-1e999999999999999999"), ("classify", "-inf")),
+    (("flip", "-1e-30000000", "--bit", "63"), ("flip", "-0", "--bit", "63")),
+]
+
+
+@pytest.mark.parametrize("argv, nearest", FAR_LITERALS, ids=lambda v: v and " ".join(v))
+def test_far_decimal_literals_finish_within_seconds(capsys, argv, nearest):
+    out = subprocess.run([sys.executable, "-m", "flip754", *argv], capture_output=True,
+                         text=True, timeout=30, env=package_env())
+    if nearest is None:
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "past the limit of 65536 bits" in out.stderr
+    else:
+        code, want, _ = run_cli(capsys, *nearest)
+        want = want.replace(f'"input": "{nearest[1]}"', f'"input": "{argv[1]}"')
+        assert (out.returncode, out.stdout) == (code, want) == (0, want)
+
+
+def test_decimal_exponent_limit_keeps_nearer_literals_on_the_exact_path(capsys):
+    assert cli.DECIMAL_EXPONENT_LIMIT == 20_000
+    code, out, err = run_cli(capsys, "classify", "9.9e20000", "--format", "30,33")
+    assert (code, out) == (2, "") and "needs a scale of 2^66408, past the limit" in err
+    code, out, err = run_cli(capsys, "classify", "1e20001", "--format", "30,33")
+    assert (code, out) == (2, "") and "past 10^+-20000" in err
+
+
+def test_far_decimal_literal_is_read_only_where_its_whole_decade_rounds_alike():
+    """Format 18,13 overflows near 10^39457 and underflows near 10^-39461,
+    both past the limit.  A literal there reads as the word that exact
+    rounding gives both ends of its decade, or is refused where that
+    decade holds a finite nonzero word."""
+    fmt = cli._parse_format("18,13")
+    inf = fmt.exponent_all_ones << fmt.fraction_bits
+    sign = 1 << (fmt.total_bits - 1)
+    seen = Counter()
+    for a in (*range(-39464, -39457), *range(39453, 39461)):
+        ends = {flip754.encode_nearest(fmt, Fraction(10) ** a * q).bits
+                for q in (1, 10 - Fraction(1, 10**30))}
+        try:
+            w = cli._parse_word(fmt, f"-5e{a}")
+        except ValueError as exc:
+            assert "past the limit of 65536 bits" in str(exc)
+            assert ends - {0, inf}
+            seen["refused"] += 1
+        else:
+            assert ends == {w.bits ^ sign}
+            seen[w.bits ^ sign] += 1
+    assert set(seen) == {0, inf, "refused"}
+
+
+def test_bounds_past_resolution_names_a_tolerance_of_any_size(capsys):
+    """1/10^5000 has more digits than CPython's int-to-str limit."""
+    code, out, err = run_cli(capsys, "bounds", "--tol", "1e-5000")
+    assert (code, out) == (2, "")
+    assert f"tolerance 1/1{'0' * 5000} needs dyadic level 2^-16610, finer than" in err
+
+
+# ── package API ───────────────────────────────────────────────────────────
+
+API_MODULES = ("formats", "relerr", "analytic", "montecarlo", "fileio", "rationals")
+
+
+def test_package_api_is_the_union_of_the_module_lists():
+    """Each public name is declared once, in its module's `__all__`, and the
+    package's name resolves to that module's object, not a namesake."""
+    names = flip754.__all__
+    assert len(names) == len(set(names)) == 66 and names[0] == "__version__"
+    owners = Counter()
+    for module in map(vars(flip754).get, API_MODULES):
+        owners.update(module.__all__)
+        for name in module.__all__:
+            assert getattr(flip754, name) is getattr(module, name), name
+    assert max(owners.values()) == 1 and sorted(owners) == sorted(names[1:])
+    public = {n for n, v in vars(flip754).items() if not n.startswith("_")
+              and not isinstance(v, types.ModuleType)}
+    assert public == set(names[1:])
 
 
 # ── exit codes ────────────────────────────────────────────────────────────

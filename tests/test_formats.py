@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 import struct
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,7 +40,8 @@ from flip754 import (
     word_from_float,
     word_to_float,
 )
-from conftest import BYTE_FORMATS, SMALL_FORMATS, iter_class_words
+from flip754.rationals import ratio_str
+from conftest import BYTE_FORMATS, SMALL_FORMATS, iter_class_words, package_env
 
 ALL_CLASSES = list(FpClass)
 
@@ -215,6 +219,16 @@ def test_exact_value_str_and_guards():
     assert str(ExactValue(ValueKind.INF, sign=-1)) == "-inf"
 
 
+def test_exact_value_str_prints_past_the_int_digit_limit():
+    """The largest finite 15,16 value has 4,932 digits, past CPython's
+    default int-to-str limit of 4,300."""
+    fmt = FpFormat(15, 16)
+    for bits in (0x7FFEFFFF, 0xFFFEFFFF):
+        v = decode_value(Word(bits, fmt))
+        assert str(v) == ratio_str(v.as_fraction())
+        assert Fraction(Decimal(str(v))) == v.as_fraction() == v.sign * ((1 << 17) - 1) * 2**16367
+
+
 # ── locus mapping ─────────────────────────────────────────────────────────
 
 
@@ -323,6 +337,21 @@ def test_encode_matches_the_brute_force_nearest_word(fmt):
         want = nearest_word_reference(finite, q)
         assert encode_nearest(fmt, q).bits == want, q
         assert encode_nearest(fmt, q, 1).bits == want | sign, q
+
+
+def test_encode_at_a_scale_of_millions_of_bits_finishes_within_seconds():
+    """1/10^2000000 on 30,33 is a normalized word with a scale of 2^-6643890;
+    rounding it through a Fraction quotient ran past a minute."""
+    script = ("from fractions import Fraction; from flip754 import FpFormat, encode_nearest; "
+              "print(encode_nearest(FpFormat(30, 33), Fraction(1, 10**2000000)).hex())")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=30, env=package_env())
+    assert out.returncode == 0, out.stderr
+    v = decode_value(parse_hex_word(FpFormat(30, 33), out.stdout.strip()))
+    assert (v.sign, v.scale, v.significand.bit_length()) == (1, -6643890, 34)
+    # within half a unit in the last place: 2 |2^6643890 - sig 10^2000000| < 10^2000000
+    p = 10**2000000
+    assert 2 * abs((1 << 6643890) - v.significand * p) < p
 
 
 def test_word_to_float_requires_binary64():
