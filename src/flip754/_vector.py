@@ -18,6 +18,12 @@ reduction asks only for what it reads:
 * the bounds sweep in `relerr` counts whether each prediction held
   (`held`), and reads the label only at exponent positions, where it
   parts the non-finite and one-sided cases from the conforming ones.
+
+Labels are built without selects: each is a uint8 sum of the uint8 views
+(0 or 1) of the label's comparison masks, weighted by differences of
+`Case` codes.  A difference may wrap around in uint8, but arithmetic
+mod 256 is exact on sums whose true value lies in [0, Case.COUNT), which
+every label does, so the wraparound always cancels.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .formats import FpClass, FpFormat, _class_fields
+from .formats import FpClass, FpFormat, Word, _class_fields
 
 # Fixed class order shared by transition matrices, reports, and tallies.
 CLASS_ORDER: tuple[FpClass, ...] = (
@@ -45,6 +51,11 @@ class Case:
 
     k = w_f - pos is the fraction entry flipped, 2^d the place value of
     the exponent entry flipped.
+
+    The codes are load-bearing, not just names: `FlipKernel.label` adds
+    mask bits to a base code, so EXP_UP + 1 must be EXP_NONFINITE,
+    EXP_TO_DEN + 1 EXP_TO_ZERO, and DEN_FRAC_GE + 1 and + 2 DEN_FRAC_MID
+    and DEN_FRAC_LE.
     """
 
     UNDEFINED = np.uint8(0)  # zero, NaN or infinite source: no relative error
@@ -69,6 +80,34 @@ BATCH = 1 << 14
 
 
 # ── field access ──────────────────────────────────────────────────────────
+
+
+def as_words(fmt: FpFormat, words: np.ndarray) -> np.ndarray:
+    """`words` as a uint64 array, refusing any element that is not a word of `fmt`.
+
+    Raises TypeError for a non-empty input of a non-integer dtype, whose
+    cast would silently pick other words, and, through `Word`, ValueError
+    for a negative or over-wide pattern.  An input whose dtype holds only
+    words of `fmt`, such as uint64 in a 64-bit format, gets no pass over
+    its elements.  A sequence of Python ints that numpy reads as float64
+    (2^63 and up beside smaller ones) or as objects (2^64 and up) is
+    checked one int at a time.
+    """
+    a = np.asarray(words)
+    if a.dtype.kind in "fO" and not isinstance(words, np.ndarray):
+        ints = np.asarray(words, dtype=object)
+        if all(isinstance(v, int) for v in ints.flat):
+            for v in ints.flat:
+                Word(v, fmt)  # raises on a pattern that is not a word of fmt
+            return ints.astype(np.uint64)
+    if a.dtype.kind not in "ui":
+        if a.size:
+            raise TypeError(f"words must have an integer dtype, not {a.dtype}")
+    elif a.size:
+        info, mask = np.iinfo(a.dtype), fmt.word_mask
+        if (info.min < 0 and a.min() < 0) or (info.max > mask and a.max() > mask):
+            Word(next(v for v in a.ravel().tolist() if not 0 <= v <= mask), fmt)  # raises
+    return a.astype(np.uint64, copy=False)
 
 
 def split_fields(fmt: FpFormat, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,20 +180,30 @@ class FlipKernel:
         self.s, self.e, self.f = split_fields(fmt, self.bits)
         self.codes = _class_codes(fmt, self.e, self.f)
         self.norm = norm = self.codes == CLASS_CODE[FpClass.NORMALIZED]
-        self.den_nz = den_nz = (self.e == 0) & (self.f != 0)
+        f_zero = self.f == 0
+        self.den_nz = den_nz = (self.e == 0) & ~f_zero
         self.has_den = bool(den_nz.any())
         self.lead = self.lead_ok = None
         if self.has_den:
             self.lead = msb_index(self.f)
             shift = np.maximum(self.lead, 0).astype(np.uint64)
             self.lead_ok = ~den_nz | ((self.f >> shift) == _U1)
-        self._sign_label = np.where(norm | den_nz, Case.SIGN, Case.UNDEFINED)
-        self._frac_label = np.where(norm, Case.NORM_FRAC, Case.UNDEFINED)
-        self._exp_label = np.where(den_nz, Case.DEN_EXP, Case.UNDEFINED)
+        self._fz8, self._norm8, self._den8 = (m.view(np.uint8) for m in (f_zero, norm, den_nz))
+        self._sign_label = Case.SIGN * (self._norm8 + self._den8)
+        self._frac_label = Case.NORM_FRAC * self._norm8
+        self._exp_label = Case.DEN_EXP * self._den8
 
     def label(self, pos: int) -> np.ndarray:
         """Case label of the flip of `pos` in each word (UNDEFINED exactly
-        off the normalized and nonzero-denormal words)."""
+        off the normalized and nonzero-denormal words).
+
+        Each label is a uint8 sum of the uint8 views (0 or 1) of the
+        comparison masks, with no select: a term that picks one of two
+        codes adds their difference times the mask.  A difference may wrap
+        below zero in uint8, but uint8 arithmetic is exact mod 256 and
+        every label's true value lies in [0, Case.COUNT), so the
+        wraparound cancels.
+        """
         fmt, e, f = self.fmt, self.e, self.f
         w_f = fmt.fraction_bits
         if pos == fmt.total_bits - 1:
@@ -163,17 +212,15 @@ class FlipKernel:
             if not self.has_den:
                 return self._frac_label
             bit = _U1 << np.uint64(pos)
-            den_label = np.where(
-                f <= bit, Case.DEN_FRAC_GE,
-                np.where(f < bit << _U1, Case.DEN_FRAC_MID, Case.DEN_FRAC_LE),
-            )
-            return np.where(self.den_nz, den_label, self._frac_label)
+            den = Case.DEN_FRAC_GE + (f > bit).view(np.uint8) + (f >= bit << _U1).view(np.uint8)
+            return self._frac_label + self._den8 * den
         step = _U1 << np.uint64(pos - w_f)
-        top = np.uint64(fmt.exponent_all_ones)
-        up = np.where((e | step) == top, Case.EXP_NONFINITE, Case.EXP_UP)
-        to_den = np.where(f == 0, Case.EXP_TO_ZERO, Case.EXP_TO_DEN)
-        down = np.where(e == step, to_den, Case.EXP_HALF if pos == w_f else Case.EXP_DOWN)
-        return np.where(self.norm, np.where((e & step) == 0, up, down), self._exp_label)
+        up = ((e & step) == 0).view(np.uint8)
+        nonfinite = ((e | step) == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
+        hit = (e == step).view(np.uint8)
+        still = Case.EXP_HALF if pos == w_f else Case.EXP_DOWN
+        down = still + hit * (Case.EXP_TO_DEN - still + self._fz8)
+        return self._exp_label + self._norm8 * (down + up * (Case.EXP_UP + nonfinite - down))
 
     def held(self, pos: int) -> np.ndarray:
         """Whether the prediction for the flip of `pos` held, per word.

@@ -149,6 +149,20 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not (v > 0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return v
+
+
+def _skip_threshold(text: str) -> float:
+    v = float(text)
+    if not 0 <= v < 0.5:
+        raise argparse.ArgumentTypeError("must lie in [0, 1/2)")
+    return v
+
+
 # ── payload rendering ─────────────────────────────────────────────────────
 
 
@@ -487,10 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
         convention,
     )
     p.add_argument("--n", type=_positive_int, required=True, help="sample count")
-    p.add_argument("--sigma", type=float, default=4.0,
+    p.add_argument("--sigma", type=_positive_float, default=4.0,
                    help="binomial z-score acceptance band (default 4)")
-    p.add_argument("--min-p", type=float, default=1e-6,
-                   help="skip cells with probability at or below this (default 1e-6)")
+    p.add_argument("--min-p", type=_skip_threshold, default=1e-6,
+                   help="skip cells with probability at or below this, in [0, 1/2) "
+                        "(default 1e-6); a run with every cell skipped fails")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker threads, at most one per CPU and per chunk; "
                         "never affects the counts (default 1)")

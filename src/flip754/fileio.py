@@ -45,7 +45,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._vector import CLASS_ORDER, classify_codes
+from ._vector import CLASS_ORDER, as_words, classify_codes
 from .formats import FpClass, FpFormat, Word
 from .relerr import error_rows
 
@@ -101,9 +101,9 @@ def words_from_bytes(data: bytes, fmt: FpFormat, endian: str = "little") -> np.n
 
 
 def words_to_bytes(words: np.ndarray, fmt: FpFormat, endian: str = "little") -> bytes:
-    """Encode a uint64 array of words back into a byte stream."""
+    """Encode an array of integer words of `fmt` (`_vector.as_words`) into a byte stream."""
     _, dtype, place = _layout(fmt, endian)
-    w = np.asarray(words, dtype=np.uint64).astype(dtype, copy=False)
+    w = as_words(fmt, words).astype(dtype, copy=False)
     return w.reshape(-1, 1).view(np.uint8)[:, place].tobytes()
 
 
@@ -370,10 +370,11 @@ def inject_words(
 ) -> tuple[np.ndarray, InjectionSummary]:
     """Apply seeded random flips to a word array; returns (new array, summary).
 
-    Exactly one of `rate` and `count` must be given.  The input array is
-    not modified.
+    Exactly one of `rate` and `count` must be given, and `words` must hold
+    integer words of `fmt` (`_vector.as_words`).  The input array is not
+    modified.
     """
-    out = np.array(words, dtype=np.uint64, copy=True)
+    out = np.array(as_words(fmt, words), copy=True)
     summary = _draw(fmt, endian, int(out.size), seed=seed, rate=rate, count=count)
     (out,) = _flip_chunks([out], summary)
     return out, summary

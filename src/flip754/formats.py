@@ -113,9 +113,9 @@ class Word:
 
     def __post_init__(self):
         if not 0 <= self.bits <= self.fmt.word_mask:
+            shown = f"0x{self.bits:X}" if self.bits >= 0 else f"-0x{-self.bits:X} (negative)"
             raise ValueError(
-                f"bit pattern 0x{self.bits:X} does not fit in "
-                f"{self.fmt.total_bits} bits"
+                f"bit pattern {shown} does not fit in {self.fmt.total_bits} bits"
             )
 
     def hex(self) -> str:

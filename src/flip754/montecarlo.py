@@ -33,7 +33,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -385,7 +385,9 @@ class ComparisonReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cells if not c.skipped)
+        """Every judged cell passed, and at least one cell was judged."""
+        judged = [c.passed for c in self.cells if not c.skipped]
+        return bool(judged) and all(judged)
 
     def failures(self) -> list[ComparisonCell]:
         return [c for c in self.cells if c.passed is False]
@@ -417,8 +419,14 @@ def compare(
     of expectation; cells with p or 1 - p in (0, min_p] are skipped as
     unresolvable, and cells with p = 0 or p = 1 must count no case or
     every case.  For normalized sources the error buckets and the dyadic
-    CDF are judged alongside the class transitions.
+    CDF are judged alongside the class transitions.  `sigma` must be a
+    positive finite number and `min_p` lie in [0, 1/2): past 1/2 every
+    cell would be skipped.
     """
+    if not (sigma > 0 and isfinite(sigma)):
+        raise ValueError(f"sigma must be a positive finite number, not {sigma!r}")
+    if not 0 <= min_p < 0.5:
+        raise ValueError(f"min_p must lie in [0, 1/2), not {min_p!r}")
     if matrix.fmt != report.fmt:
         raise ValueError("matrix and report describe different formats")
     fmt = report.fmt

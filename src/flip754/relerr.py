@@ -40,7 +40,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._vector import BATCH, Case, FlipKernel, msb_index, split_fields
+from ._vector import BATCH, Case, FlipKernel, as_words, msb_index, split_fields
 from .formats import FpFormat, Word
 from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, ratio_text
 
@@ -361,8 +361,9 @@ def bounds_sweep(fmt: FpFormat, bits: np.ndarray) -> SweepReport:
     onto NaN or infinity (nonfinite) and the one-sided denormal exponent
     flips (informational).  The counters then equal those of `check_bounds`
     on every pair (tested exhaustively on every format of at most 8 bits).
+    `bits` must hold integer words of `fmt` (`_vector.as_words`).
     """
-    b = np.asarray(bits, dtype=np.uint64).ravel()
+    b = as_words(fmt, bits).ravel()
     total, w_f = fmt.total_bits, fmt.fraction_bits
     judged_words = held_cases = nonfinite = informational = 0
     examples: list[tuple[str, int]] = []

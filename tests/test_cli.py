@@ -848,6 +848,22 @@ def test_exit_three_on_model_mismatch(capsys):
     assert doc["payload"]["comparison"]["passed"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "0"),
+    ("--min-p", "0.5"), ("--min-p", "-0.1"), ("--min-p", "nan"),
+], ids=" ".join)
+def test_sample_thresholds_that_judge_nothing_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, "sample", "--n", "1000", *argv)
+    assert (code, out) == (2, "") and f"argument {argv[0]}: must" in err
+
+
+def test_sample_with_every_cell_skipped_exits_three(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--n", "1000", "--format", "3,2", "--min-p", "0.499")
+    assert code == 3
+    cells = json.loads(out)["payload"]["comparison"]["cells"]
+    assert all(c["passed"] is None for c in cells)
+
+
 def test_sample_passes_at_default_sigma(capsys):
     doc = run_json(capsys, "sample", "--n", "50000", "--seed", "1")
     assert doc["payload"]["comparison"]["passed"] is True

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flip754 import (
+    BINARY16,
     BINARY64,
     FpFormat,
     Word,
@@ -253,6 +254,28 @@ def test_injection_argument_validation():
         inject_words(np.zeros(0, dtype=np.uint64), BINARY64, seed=1, count=1)
     out, summary = inject_words(np.zeros(0, dtype=np.uint64), BINARY64, seed=1, rate=0.5)
     assert out.size == 0 and summary.events == ()
+
+
+def test_inject_words_refuses_host_floats():
+    # a cast would inject into the words 0x1 and 0x2
+    with pytest.raises(TypeError, match="integer dtype"):
+        inject_words(np.array([1.5, 2.7]), BINARY16, seed=1, count=1)
+
+
+def test_inject_words_refuses_an_over_wide_word():
+    # it would be reported as a 5-digit `before` word of a 16-bit format
+    with pytest.raises(ValueError, match="bit pattern 0x12345 does not fit in 16 bits"):
+        inject_words([0x12345], BINARY16, seed=1, count=1)
+
+
+def test_words_to_bytes_refuses_an_over_wide_word(tmp_path):
+    # it would be written as b"E#", dropping bit 16
+    with pytest.raises(ValueError, match="bit pattern 0x12345 does not fit in 16 bits"):
+        words_to_bytes([0x12345], BINARY16)
+    with pytest.raises(ValueError, match="bit pattern -0x1 \\(negative\\)"):
+        write_words(tmp_path / "w.bin", np.array([-1], dtype=np.int64), BINARY64)
+    assert not (tmp_path / "w.bin").exists()
+    assert words_to_bytes([0x1234], BINARY16) == b"4\x12"
 
 
 # ── files and payloads ────────────────────────────────────────────────────

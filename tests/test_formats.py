@@ -86,9 +86,9 @@ def test_format_validation():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bit pattern -0x1 \(negative\) does not fit in 16 bits$"):
         Word(-1, BINARY16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bit pattern 0x10000 does not fit in 16 bits$"):
         Word(1 << 16, BINARY16)
     assert Word(0xFFFF, BINARY16).hex() == "0xFFFF"
 

@@ -382,6 +382,24 @@ def test_tiny_sigma_fails_a_healthy_campaign():
     assert verdict.failures()
 
 
+def test_a_comparison_with_every_cell_skipped_does_not_pass():
+    fmt = FpFormat(3, 2)
+    report = run_campaign(CampaignConfig(fmt, FpClass.NORMALIZED, 1000, seed=0))
+    verdict = compare(transition_matrix(fmt), report, min_p=0.499)
+    assert verdict.cells and all(c.skipped for c in verdict.cells)
+    assert not verdict.passed and not verdict.failures()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
+    {"min_p": -0.1}, {"min_p": 0.5}, {"min_p": float("nan")},
+], ids=repr)
+def test_compare_rejects_thresholds_that_judge_nothing(kwargs):
+    report = exhaustive_census(FpFormat(3, 2), FpClass.NORMALIZED)
+    with pytest.raises(ValueError):
+        compare(transition_matrix(report.fmt), report, **kwargs)
+
+
 def test_compare_rejects_mismatched_formats():
     report = exhaustive_census(FpFormat(3, 2), FpClass.NORMALIZED)
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flip754 import (
+    BINARY16,
     BINARY64,
     CheckStatus,
     ErrorInterval,
@@ -420,6 +421,31 @@ def test_sweep_catches_planted_faults(plant_fault, fault):
     else:
         assert rep.violations > 0
         assert len(rep.violation_examples) == 10
+
+
+def test_sweep_refuses_an_over_wide_word():
+    # it would judge 0xF, the word's low four bits
+    with pytest.raises(ValueError, match="bit pattern 0xFF does not fit in 4 bits"):
+        bounds_sweep(FpFormat(2, 1), [0xFF])
+
+
+def test_sweep_refuses_host_floats():
+    # it would judge 0x1
+    with pytest.raises(TypeError, match="integer dtype"):
+        bounds_sweep(BINARY16, np.array([1.5]))
+
+
+def test_sweep_takes_words_of_any_integer_dtype_that_fit():
+    words = np.arange(1 << 8)
+    want = bounds_sweep(FpFormat(3, 4), words.astype(np.uint64))
+    for dtype in (np.int64, np.uint8, np.int16):
+        assert bounds_sweep(FpFormat(3, 4), words.astype(dtype)) == want
+    assert bounds_sweep(FpFormat(3, 4), words.tolist()) == want
+    # numpy reads this list as float64; its ints are taken exactly
+    top = [(1 << 64) - 1, 1 << 63, 1]
+    assert bounds_sweep(BINARY64, top) == bounds_sweep(BINARY64, np.array(top, dtype=np.uint64))
+    with pytest.raises(ValueError, match="bit pattern 0x10000000000000000 does not fit"):
+        bounds_sweep(BINARY64, [1 << 64, 1])
 
 
 def test_sweep_counter_partition_guard():
