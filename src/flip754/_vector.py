@@ -19,6 +19,15 @@ reduction asks only for what it reads:
   (`held`), and reads the label only at exponent positions, where it
   parts the non-finite and one-sided cases from the conforming ones.
 
+The campaign's chunk path allocates no 8-byte array as long as a chunk
+past its four draws (sign, exponent, fraction, position):
+`sample_class_bits` merges each field draw into the word buffer and
+drops it, and `outcome_key` writes the key over the positions, works on
+the exponent lanes alone for a normalized chunk and on `BATCH` lanes at
+a time for a denormal or NaN one.  `montecarlo.run_campaign` gives each
+of its threads one word and one position buffer and runs one chunk per
+thread at a time.
+
 Labels are built without selects: each is a uint8 sum of the uint8 views
 (0 or 1) of the label's comparison masks, weighted by differences of
 `Case` codes.  A difference may wrap around in uint8, but arithmetic
@@ -74,8 +83,9 @@ class Case:
     COUNT = 13
 
 
-# Words per kernel batch in the census and the sweep: small enough that
-# the per-position temporaries of a batch stay in cache.
+# Words per kernel batch in the census and the sweep, and per step of a
+# denormal or NaN `outcome_key`: small enough that the temporaries of a
+# batch stay in cache.
 BATCH = 1 << 14
 
 
@@ -272,16 +282,27 @@ def outcome_key(
     position of every format of at most 12 bits and of binary16;
     `test_outcome_key_is_sufficient_on_wide_formats` samples binary64,
     62,1 and 30,33.
+
+    The key reuses `pos`'s storage: a uint64 `pos` holds the key (as
+    uint64) on return, and the key is a view of it; a `pos` of any other
+    dtype is copied first and keeps its values.  `bits` is never modified.
+    Past that, a normalized batch allocates two bool masks over all lanes
+    and otherwise arrays only as long as its exponent lanes; a denormal or
+    NaN batch is keyed `BATCH` lanes at a time, so none of its temporaries
+    is longer; infinity allocates nothing.
     """
     b = np.asarray(bits, dtype=np.uint64)
     p = np.asarray(pos, dtype=np.uint64)
+    key = p.view(np.intp)  # positions are below 64: both views read the same numbers
     w_f = fmt.fraction_bits
     if cls is FpClass.NORMALIZED:
-        key = (p << np.uint64(4)).view(np.intp)
-        d = p - np.uint64(w_f)  # wraps past w_e below the exponent field
-        lane = np.flatnonzero(d < np.uint64(fmt.exponent_bits))
-        _, e, f = split_fields(fmt, b[lane])
-        e2 = e ^ (_U1 << d[lane])
+        lane = np.flatnonzero((p >= np.uint64(w_f)) & (p < np.uint64(w_f + fmt.exponent_bits)))
+        e, f = split_fields(fmt, b[lane])[1:]
+        e2 = p[lane]  # becomes e ^ 2^(pos - w_f) in place
+        e2 -= np.uint64(w_f)
+        np.left_shift(_U1, e2, out=e2)
+        e2 ^= e
+        p <<= np.uint64(4)
         key[lane] += (
             (e2 > e).view(np.uint8)
             | (e2 == np.uint64(fmt.exponent_all_ones)).view(np.uint8) << 1
@@ -289,14 +310,22 @@ def outcome_key(
             | (f == 0).view(np.uint8) << 3
         )
         return key, 16
-    _, e, f = split_fields(fmt, b)
-    if cls is FpClass.DENORMALIZED:
-        width = 2 * (w_f + 1)
-        pow2 = np.bitwise_count(f) == 1
-        return p.astype(np.intp) * width + 2 * (msb_index(f) + 1) + pow2, width
-    if cls is FpClass.NAN:
-        return p.astype(np.intp) * 2 + (f == _U1 << p), 2
-    return p.astype(np.intp), 1
+    if cls is FpClass.INF:
+        return key, 1
+    width = 2 if cls is FpClass.NAN else 2 * (w_f + 1)
+    for start in range(0, b.size, BATCH):
+        lanes = slice(start, start + BATCH)
+        f = split_fields(fmt, b[lanes])[2]
+        if cls is FpClass.NAN:
+            flags = f == _U1 << p[lanes]
+        else:
+            flags = msb_index(f)
+            flags += 1
+            flags <<= 1
+            flags += np.bitwise_count(f) == 1
+        key[lanes] *= width
+        key[lanes] += flags
+    return key, width
 
 
 # ── class enumeration and sampling ────────────────────────────────────────
@@ -319,15 +348,20 @@ def enumerate_class(fmt: FpFormat, cls: FpClass) -> Iterator[np.ndarray]:
 
 
 def sample_class_bits(
-    fmt: FpFormat, cls: FpClass, rng: np.random.Generator, n: int
+    fmt: FpFormat, cls: FpClass, rng: np.random.Generator, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Draw n words uniformly from `cls` (draw order: sign, exponent, fraction).
 
     A one-value range (the exponent of a denormal, NaN or infinity, the
-    fraction of an infinity) draws nothing from `rng`.
+    fraction of an infinity) draws nothing from `rng`.  The words are
+    composed field by field in `out` (n uint64 lanes) when given, else in
+    the sign draw's buffer, and each draw is dropped once merged.
     """
     e0, n_e, f0, n_f = _class_fields(fmt, cls)
-    s = rng.integers(0, 2, size=n, dtype=np.uint64)
-    e = rng.integers(e0, e0 + n_e, size=n, dtype=np.uint64)
-    f = rng.integers(f0, f0 + n_f, size=n, dtype=np.uint64)
-    return (s << np.uint64(fmt.total_bits - 1)) | (e << np.uint64(fmt.fraction_bits)) | f
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64)
+    word = np.left_shift(sign, np.uint64(fmt.exponent_bits), out=sign if out is None else out)
+    del sign
+    word |= rng.integers(e0, e0 + n_e, size=n, dtype=np.uint64)
+    word <<= np.uint64(fmt.fraction_bits)
+    word |= rng.integers(f0, f0 + n_f, size=n, dtype=np.uint64)
+    return word

@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isfinite, sqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -169,6 +170,10 @@ _CASE_BUCKET = {
 
 # ── campaigns ─────────────────────────────────────────────────────────────
 
+# What a chunk, a thread or a campaign returns: the histogram of its outcome
+# keys and the smallest and largest word drawn for each key.
+_Part = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -239,19 +244,32 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     changes, so worker count affects wall time only, never the counts.
     At most `os.cpu_count()` threads run, and never more than chunks.
     Raises RuntimeError if the two representatives of a key disagree.
+
+    Memory does not grow with the chunk count: thread t runs chunks t,
+    t + threads, t + 2 * threads, ... one at a time, merging each into its
+    own histogram, so at most one chunk per thread is in flight.  Each
+    thread keeps one word and one position buffer of min(chunk_size, n)
+    uint64 lanes for all its chunks: `sample_class_bits` composes the
+    words in the first, the position draw is copied into the second, and
+    `outcome_key` turns that into the keys in place.  A chunk of n samples
+    thus allocates its four n-lane draws one at a time, the smaller arrays
+    `outcome_key` documents and three key-sized arrays, and the heap does
+    not grow and shrink by a chunk's working set on every chunk.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     fmt, cls = config.fmt, config.source_class
     n, step = config.sample_count, config.chunk_size
-    chunks = [(c, min(step, n - c * step)) for c in range((n + step - 1) // step)]
+    n_chunks = (n + step - 1) // step
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
 
-    def run_chunk(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        index, size = task
+    def run_chunk(index: int, words: np.ndarray, pos: np.ndarray) -> _Part:
+        size = min(step, n - index * step)
         seq = np.random.SeedSequence((config.seed, index))
         rng = np.random.Generator(np.random.Philox(seq))
-        bits = sample_class_bits(fmt, cls, rng, size)
-        pos = rng.integers(0, fmt.total_bits, size=size, dtype=np.uint64)
+        bits = sample_class_bits(fmt, cls, rng, size, out=words[:size])
+        pos = pos[:size]
+        pos[...] = rng.integers(0, fmt.total_bits, size=size, dtype=np.uint64)
         keys, width = outcome_key(fmt, cls, bits, pos)
         n_keys = width * fmt.total_bits
         lo = np.full(n_keys, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -260,15 +278,26 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         np.maximum.at(hi, keys, bits)
         return np.bincount(keys, minlength=n_keys), lo, hi
 
-    threads = min(workers, len(chunks), os.cpu_count() or 1)
+    def run_stripe(first: int) -> _Part:
+        words, pos = np.empty((2, min(step, n)), dtype=np.uint64)
+        return _merge(run_chunk(c, words, pos) for c in range(first, n_chunks, threads))
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = map(run_chunk, chunks) if threads == 1 else pool.map(run_chunk, chunks)
-        hist, lo, hi = next(parts)
-        for h, l, u in parts:
-            hist += h
-            np.minimum(lo, l, out=lo)
-            np.maximum(hi, u, out=hi)
+        stripes = range(threads)
+        parts = map(run_stripe, stripes) if threads == 1 else pool.map(run_stripe, stripes)
+        hist, lo, hi = _merge(parts)
     return CampaignReport(config, _contract(fmt, hist, lo, hi).freeze())
+
+
+def _merge(parts: Iterator[_Part]) -> _Part:
+    """Sum the key histograms of `parts` and keep each key's extreme words,
+    in the first part's arrays."""
+    hist, lo, hi = next(parts)
+    for h, l, u in parts:
+        hist += h
+        np.minimum(lo, l, out=lo)
+        np.maximum(hi, u, out=hi)
+    return hist, lo, hi
 
 
 def _contract(fmt: FpFormat, hist: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _MutableTally:

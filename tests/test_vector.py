@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flip754 import ErrorKind, FpClass, FpFormat, Word, classify, flip_bit
-from flip754._vector import Case, FlipKernel, msb_index
+from flip754 import BINARY16, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify, flip_bit
+from flip754._vector import (
+    Case,
+    FlipKernel,
+    msb_index,
+    outcome_key,
+    sample_class_bits,
+    split_fields,
+)
 
 from conftest import BYTE_FORMATS, fraction_relative_error
 
@@ -135,3 +142,105 @@ def test_label_check_sees_a_planted_label_fault(monkeypatch):
     monkeypatch.setattr(FlipKernel, "label", label)
     misses = _label_misses(FpFormat(3, 2))
     assert misses and {case for _, _, case in misses} == {Case.EXP_UP}
+
+
+# ── the campaign's chunk kernels ──────────────────────────────────────────
+
+# Draw ranges per class, as (first biased exponent, count, first fraction,
+# count); the denormal class holds the two zeros.
+def _class_ranges(fmt: FpFormat, cls: FpClass) -> tuple[int, int, int, int]:
+    top, n_f = fmt.exponent_all_ones, 1 << fmt.fraction_bits
+    return {
+        FpClass.NORMALIZED: (1, top - 1, 0, n_f),
+        FpClass.DENORMALIZED: (0, 1, 0, n_f),
+        FpClass.NAN: (top, 1, 1, n_f - 1),
+        FpClass.INF: (top, 1, 0, 1),
+    }[cls]
+
+
+CLASSES = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
+KERNEL_FORMATS = [BINARY64, BINARY16, FpFormat(2, 1)]
+
+
+@pytest.mark.parametrize("fmt", KERNEL_FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.value)
+def test_sample_class_bits_composes_the_three_draws(fmt, cls):
+    """The word is (s << (W - 1)) | (e << w_f) | f of a twin generator's
+    draws of s, then e, then f, with `out` or without, and both leave the
+    generator where the twin is."""
+    e0, n_e, f0, n_f = _class_ranges(fmt, cls)
+    n = 3000
+    for out in (None, np.empty(n, dtype=np.uint64)):
+        rng, twin = (np.random.Generator(np.random.Philox(11)) for _ in range(2))
+        s = twin.integers(0, 2, size=n, dtype=np.uint64)
+        e = twin.integers(e0, e0 + n_e, size=n, dtype=np.uint64)
+        f = twin.integers(f0, f0 + n_f, size=n, dtype=np.uint64)
+        expected = (s << np.uint64(fmt.total_bits - 1)) | (e << np.uint64(fmt.fraction_bits)) | f
+        got = sample_class_bits(fmt, cls, rng, n, out=out)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+        assert out is None or got is out
+        assert rng.integers(0, 1 << 62) == twin.integers(0, 1 << 62)
+
+
+def _outcome_key_reference(fmt, cls, bits, pos):
+    """`outcome_key` as first written, with full-width temporaries."""
+    b = np.asarray(bits, dtype=np.uint64)
+    p = np.asarray(pos, dtype=np.uint64)
+    w_f = fmt.fraction_bits
+    if cls is FpClass.NORMALIZED:
+        key = (p << np.uint64(4)).view(np.intp)
+        d = p - np.uint64(w_f)  # wraps past w_e below the exponent field
+        lane = np.flatnonzero(d < np.uint64(fmt.exponent_bits))
+        _, e, f = split_fields(fmt, b[lane])
+        e2 = e ^ (np.uint64(1) << d[lane])
+        key[lane] += (
+            (e2 > e).view(np.uint8)
+            | (e2 == np.uint64(fmt.exponent_all_ones)).view(np.uint8) << 1
+            | (e2 == 0).view(np.uint8) << 2
+            | (f == 0).view(np.uint8) << 3
+        )
+        return key, 16
+    _, e, f = split_fields(fmt, b)
+    if cls is FpClass.DENORMALIZED:
+        width = 2 * (w_f + 1)
+        pow2 = np.bitwise_count(f) == 1
+        return p.astype(np.intp) * width + 2 * (msb_index(f) + 1) + pow2, width
+    if cls is FpClass.NAN:
+        return p.astype(np.intp) * 2 + (f == np.uint64(1) << p), 2
+    return p.astype(np.intp), 1
+
+
+def _class_lanes(fmt: FpFormat, cls: FpClass, n: int, seed: int):
+    """n random words of `cls` with positions that take every value."""
+    rng = np.random.default_rng(seed)
+    bits = sample_class_bits(fmt, cls, rng, n)
+    pos = rng.permutation(np.arange(n, dtype=np.uint64) % np.uint64(fmt.total_bits))
+    return bits, pos
+
+
+@pytest.mark.parametrize(
+    "fmt", KERNEL_FORMATS + [FpFormat(62, 1), FpFormat(30, 33), FpFormat(2, 61)], ids=lambda f: f.name
+)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.value)
+def test_outcome_key_matches_its_first_form(fmt, cls):
+    bits, pos = _class_lanes(fmt, cls, 20_000, seed=fmt.total_bits)
+    expected, expected_width = _outcome_key_reference(fmt, cls, bits, pos.copy())
+    key, width = outcome_key(fmt, cls, bits, pos)
+    assert width == expected_width
+    assert key.dtype == np.intp and np.array_equal(key, expected)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.value)
+def test_outcome_key_writes_the_key_over_pos_and_leaves_bits(cls):
+    fmt = BINARY16
+    bits, pos = _class_lanes(fmt, cls, 5000, seed=3)
+    bits_before, pos_before = bits.copy(), pos.copy()
+    key, _ = outcome_key(fmt, cls, bits, pos)
+    assert np.array_equal(bits, bits_before)
+    assert np.shares_memory(key, pos) and np.array_equal(pos.view(np.intp), key)
+    # A pos of another dtype is copied first, and keeps its values.
+    other = pos_before.astype(np.int64)
+    again, _ = outcome_key(fmt, cls, bits, other)
+    assert np.array_equal(again, key) and not np.shares_memory(again, other)
+    assert np.array_equal(other, pos_before)
