@@ -28,6 +28,13 @@ a time for a denormal or NaN one.  `montecarlo.run_campaign` gives each
 of its threads one word and one position buffer and runs one chunk per
 thread at a time.
 
+The census and sweep path allocates no 8-byte array per position either:
+a `FlipKernel` allocates its per-position buffers once, `flip_bits`,
+`split_fields` and `_class_codes` write into them through their `out`
+arguments, and `label`, `held` and `dst` each return one of them, valid
+until the next call of the same method on that kernel.  A kernel belongs
+to one thread.
+
 Labels are built without selects: each is a uint8 sum of the uint8 views
 (0 or 1) of the label's comparison masks, weighted by differences of
 `Case` codes.  A difference may wrap around in uint8, but arithmetic
@@ -120,13 +127,18 @@ def as_words(fmt: FpFormat, words: np.ndarray) -> np.ndarray:
     return a.astype(np.uint64, copy=False)
 
 
-def split_fields(fmt: FpFormat, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split raw words into (sign, biased exponent, fraction) uint64 arrays."""
+def split_fields(
+    fmt: FpFormat, bits: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split raw words into (sign, biased exponent, fraction) uint64 arrays,
+    written into `out` (three uint64 arrays shaped like `bits`) when given."""
     b = np.asarray(bits, dtype=np.uint64)
-    w_f = np.uint64(fmt.fraction_bits)
-    s = (b >> np.uint64(fmt.total_bits - 1)) & _U1
-    e = (b >> w_f) & np.uint64(fmt.exponent_all_ones)
-    f = b & np.uint64(fmt.fraction_mask)
+    s, e, f = (None, None, None) if out is None else out
+    s = np.right_shift(b, np.uint64(fmt.total_bits - 1), out=s)
+    s &= _U1
+    e = np.right_shift(b, np.uint64(fmt.fraction_bits), out=e)
+    e &= np.uint64(fmt.exponent_all_ones)
+    f = np.bitwise_and(b, np.uint64(fmt.fraction_mask), out=f)
     return s, e, f
 
 
@@ -136,18 +148,24 @@ def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     return _class_codes(fmt, e, f)
 
 
-def _class_codes(fmt: FpFormat, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # CLASS_ORDER codes: 0 normalized, 1 denormal, 2 NaN, 3 infinity
-    den = (e == 0).view(np.uint8)
-    top = (e == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
-    return den + top * (2 + (f == 0).view(np.uint8))
+def _class_codes(
+    fmt: FpFormat, e: np.ndarray, f: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # CLASS_ORDER codes: 0 normalized, 1 denormal, 2 NaN, 3 infinity, as
+    # den + top * (2 + (f == 0)), in `out` (uint8) when given
+    code = np.equal(f, 0, out=None if out is None else out.view(np.bool_)).view(np.uint8)
+    code += np.uint8(2)
+    code *= (e == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
+    code += (e == 0).view(np.uint8)
+    return code
 
 
-def flip_bits(bits: np.ndarray, pos: np.ndarray | int) -> np.ndarray:
-    """XOR each word with 1 << pos (pos may be scalar or per-word)."""
+def flip_bits(bits: np.ndarray, pos: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
+    """XOR each word with 1 << pos (pos may be scalar or per-word), into
+    `out` (uint64) when given."""
     b = np.asarray(bits, dtype=np.uint64)
     p = np.asarray(pos, dtype=np.uint64)
-    return b ^ (_U1 << p)
+    return np.bitwise_xor(b, _U1 << p, out=out)
 
 
 def msb_index(values: np.ndarray) -> np.ndarray:
@@ -181,7 +199,13 @@ class FlipKernel:
       the campaign tally with the label.
 
     `held` and `dst` each cost one flip and one field split of the
-    after-words.
+    after-words.  Construction also allocates the buffers that every
+    position's work writes into (the after-words, their fields, and one
+    result array per method), so a call allocates no array of 8-byte
+    lanes.  The array a method returns is one of these buffers: it stays
+    valid until the next call of the same method, and `held` and `dst`,
+    which share the after-word buffers, leave each other's results and
+    the label intact.  A kernel is therefore never shared between threads.
     """
 
     def __init__(self, fmt: FpFormat, bits: np.ndarray) -> None:
@@ -202,6 +226,11 @@ class FlipKernel:
         self._sign_label = Case.SIGN * (self._norm8 + self._den8)
         self._frac_label = Case.NORM_FRAC * self._norm8
         self._exp_label = Case.DEN_EXP * self._den8
+        # the after-words (also label's exponent temporary) and their fields
+        self._word = np.empty_like(self.bits)
+        self._fields = tuple(np.empty_like(self.bits) for _ in range(3))
+        self._label, self._dst = (np.empty_like(self.bits, dtype=np.uint8) for _ in range(2))
+        self._held = np.empty_like(self.bits, dtype=np.bool_)
 
     def label(self, pos: int) -> np.ndarray:
         """Case label of the flip of `pos` in each word (UNDEFINED exactly
@@ -221,16 +250,33 @@ class FlipKernel:
         if pos < w_f:
             if not self.has_den:
                 return self._frac_label
+            # frac_label + den8 * (DEN_FRAC_GE + (f > bit) + (f >= 2 * bit))
             bit = _U1 << np.uint64(pos)
-            den = Case.DEN_FRAC_GE + (f > bit).view(np.uint8) + (f >= bit << _U1).view(np.uint8)
-            return self._frac_label + self._den8 * den
+            label = np.greater(f, bit, out=self._label.view(np.bool_)).view(np.uint8)
+            label += (f >= bit << _U1).view(np.uint8)
+            label += Case.DEN_FRAC_GE
+            label *= self._den8
+            label += self._frac_label
+            return label
+        # exp_label + norm8 * (down + up * (EXP_UP + nonfinite - down)), where
+        # down = still + hit * (EXP_TO_DEN - still + fz8)
         step = _U1 << np.uint64(pos - w_f)
-        up = ((e & step) == 0).view(np.uint8)
-        nonfinite = ((e | step) == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
-        hit = (e == step).view(np.uint8)
+        t = np.bitwise_and(e, step, out=self._word)
+        up = (t == 0).view(np.uint8)
+        np.bitwise_or(e, step, out=t)
+        nonfinite = (t == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
         still = Case.EXP_HALF if pos == w_f else Case.EXP_DOWN
-        down = still + hit * (Case.EXP_TO_DEN - still + self._fz8)
-        return self._exp_label + self._norm8 * (down + up * (Case.EXP_UP + nonfinite - down))
+        down = np.add(self._fz8, Case.EXP_TO_DEN - still, out=self._label)
+        down *= (e == step).view(np.uint8)
+        down += still
+        nonfinite += Case.EXP_UP
+        nonfinite -= down
+        nonfinite *= up
+        label = down
+        label += nonfinite
+        label *= self._norm8
+        label += self._exp_label
+        return label
 
     def held(self, pos: int) -> np.ndarray:
         """Whether the prediction for the flip of `pos` held, per word.
@@ -242,21 +288,30 @@ class FlipKernel:
         """
         fmt, s, e, f = self.fmt, self.s, self.e, self.f
         w_f = fmt.fraction_bits
-        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos))
+        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
         if pos == fmt.total_bits - 1:
-            return (s2 != s) & (e2 == e) & (f2 == f)
+            held = np.not_equal(s2, s, out=self._held)
+            held &= e2 == e
+            held &= f2 == f
+            return held
+        held = np.equal(s2, s, out=self._held)
         if pos < w_f:
-            held = (s2 == s) & (e2 == e) & ((f2 ^ f) == _U1 << np.uint64(pos))
+            held &= e2 == e
+            f2 ^= f
+            held &= f2 == _U1 << np.uint64(pos)
             if self.has_den:
                 held &= self.lead_ok
             return held
-        step = _U1 << np.uint64(pos - w_f)
-        return (s2 == s) & (f2 == f) & ((e2 ^ e) == step)
+        held &= f2 == f
+        e2 ^= e
+        held &= e2 == _U1 << np.uint64(pos - w_f)
+        return held
 
     def dst(self, pos: int) -> np.ndarray:
         """Class code of each word after the flip of `pos`."""
-        _, e2, f2 = split_fields(self.fmt, flip_bits(self.bits, pos))
-        return _class_codes(self.fmt, e2, f2)
+        fmt = self.fmt
+        _, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
+        return _class_codes(fmt, e2, f2, out=self._dst)
 
 
 def outcome_key(
@@ -332,19 +387,21 @@ def outcome_key(
 
 
 def enumerate_class(fmt: FpFormat, cls: FpClass) -> Iterator[np.ndarray]:
-    """Yield every word of `cls` in ascending order, in uint64 chunks of `BATCH`."""
+    """Yield every word of `cls` in ascending order, in uint64 chunks of at
+    most `BATCH` words.
+
+    Under either sign the words of a class are one run of consecutive
+    integers: its exponents and its fractions are contiguous ranges
+    (`_class_fields`), and the fraction range is full wherever the class
+    has more than one exponent.  Each chunk is an `np.arange` slice of one
+    of the two runs, so no chunk spans both signs.
+    """
     e0, n_e, f0, n_f = _class_fields(fmt, cls)
-    per_sign = n_e * n_f
-    total = 2 * per_sign
-    for start in range(0, total, BATCH):
-        idx = np.arange(start, min(start + BATCH, total), dtype=np.uint64)
-        s, rem = np.divmod(idx, np.uint64(per_sign))
-        e, f = np.divmod(rem, np.uint64(n_f))
-        yield (
-            (s << np.uint64(fmt.total_bits - 1))
-            | ((e + np.uint64(e0)) << np.uint64(fmt.fraction_bits))
-            | (f + np.uint64(f0))
-        )
+    first = (e0 << fmt.fraction_bits) | f0
+    for sign in (0, 1 << (fmt.total_bits - 1)):
+        stop = sign + first + n_e * n_f
+        for start in range(sign + first, stop, BATCH):
+            yield np.arange(start, min(start + BATCH, stop), dtype=np.uint64)
 
 
 def sample_class_bits(

@@ -118,20 +118,52 @@ class _MutableTally:
     def __init__(self, fmt: FpFormat) -> None:
         self.fmt = fmt
         self.counts = np.zeros((16, Case.COUNT, fmt.total_bits), dtype=np.int64)
+        self._cells = np.empty(0, dtype=np.intp)  # `add`'s flat indices, one per lane
 
-    def cells(self, kernel: FlipKernel, pos: int) -> np.ndarray:
+    def cases(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """Label and pair case of the flip of `pos` in every word of the
+        kernel's batch.  The pair case, (source class * 4 + destination
+        class) * Case.COUNT + label, indexes the first two axes of `counts`
+        flattened; it is below 16 * 13 = 208, so a uint8."""
+        label = kernel.label(pos)
+        pair = kernel.codes * np.uint8(4)
+        pair += kernel.dst(pos)
+        pair *= np.uint8(Case.COUNT)
+        pair += label
+        return label, pair
+
+    def cells(
+        self, kernel: FlipKernel, pos: int, cases: tuple[np.ndarray, np.ndarray] | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
-        kernel's batch."""
-        label, dst = kernel.label(pos), kernel.dst(pos)
-        pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label  # < 16 * 13, a uint8
-        column = pos
-        if kernel.has_den:
-            column = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, pos)
-        return pair_case.astype(np.intp) * self.fmt.total_bits + column
+        kernel's batch, from its `cases` (computed when not given), in `out`
+        (intp lanes) when given."""
+        label, pair = self.cases(kernel, pos) if cases is None else cases
+        cell = np.multiply(pair, self.fmt.total_bits, out=out, dtype=np.intp)
+        cell += pos
+        if kernel.has_den:  # a DEN_FRAC_LE flip's column is its level, lead - pos
+            level = label == Case.DEN_FRAC_LE
+            np.add(cell, kernel.lead, out=cell, where=level)
+            np.subtract(cell, 2 * pos, out=cell, where=level)
+        return cell
 
     def add(self, kernel: FlipKernel, pos: int) -> None:
-        """Tally the flip of `pos` in every word of the kernel's batch."""
-        cell = self.cells(kernel, pos)
+        """Tally the flip of `pos` in every word of the kernel's batch.
+
+        A batch whose flips all share one pair case outside DEN_FRAC_LE, as
+        at every sign and fraction position of a normalized batch, adds its
+        size to one cell.  Otherwise the flat cells are counted with
+        `bincount`, built in an intp buffer that `bincount` reads in place.
+        """
+        label, pair = cases = self.cases(kernel, pos)
+        lo, hi = pair.min(), pair.max()
+        if lo == hi and label[0] != Case.DEN_FRAC_LE:
+            self.counts.reshape(-1, self.fmt.total_bits)[lo, pos] += pair.size
+            return
+        if self._cells.size < pair.size:
+            self._cells = np.empty(pair.size, dtype=np.intp)
+        cell = self.cells(kernel, pos, cases, out=self._cells[: pair.size])
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
 
     def add_weighted(self, cell: np.ndarray, weight: np.ndarray) -> None:
@@ -372,6 +404,10 @@ def exhaustive_census(
         kernel = FlipKernel(fmt, chunk)
         for pos in range(fmt.total_bits):
             t.add(kernel, pos)
+        # Dropped before the next chunk is drawn, so that the next batch
+        # reuses this one's memory: with two batches alive the heap grew by
+        # one on every chunk and shrank again when the older was freed.
+        del kernel
     return CensusReport(
         fmt, source_class, convention, class_size(fmt, source_class), t.freeze()
     )

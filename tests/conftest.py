@@ -133,9 +133,9 @@ def brute_census(fmt: FpFormat, cls: FpClass) -> dict:
 def _wrong_bit_flip(real, fmt):
     """flip_bits that flips bit 60 whenever a fraction position is asked for."""
 
-    def flip_bits(bits, pos):
+    def flip_bits(bits, pos, out=None):
         p = np.asarray(pos, dtype=np.uint64)
-        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p))
+        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p), out)
 
     return flip_bits
 
@@ -150,8 +150,8 @@ def _msb_off_by_one(real, fmt):
 def _exponent_mis_split(real, fmt):
     """split_fields that drops the lowest exponent bit."""
 
-    def split_fields(fmt_, bits):
-        s, e, f = real(fmt_, bits)
+    def split_fields(fmt_, bits, out=None):
+        s, e, f = real(fmt_, bits, out)
         return s, e & ~np.uint64(1), f
 
     return split_fields
@@ -162,8 +162,8 @@ def _fraction_mis_split(real, fmt):
     then leaves the split fraction as it was, so only a field-wise check
     of the after-word sees it: the whole words still differ in bit 0."""
 
-    def split_fields(fmt_, bits):
-        s, e, f = real(fmt_, bits)
+    def split_fields(fmt_, bits, out=None):
+        s, e, f = real(fmt_, bits, out)
         return s, e, f & ~np.uint64(1)
 
     return split_fields

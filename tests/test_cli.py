@@ -64,6 +64,8 @@ GOLDEN_CASES = [
     (("cdf", "--csv"), "cdf_binary64.csv"),
     (("bounds", "--csv"), "bounds_binary64.csv"),
     (("classify", "1.0"), "classify_one_binary64.json"),
+    (("census", "--format", "6,13"), "census_6_13.json"),
+    (("census", "--format", "5,10", "--convention", "separated"), "census_5_10_separated.json"),
 ]
 
 

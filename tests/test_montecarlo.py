@@ -34,7 +34,7 @@ from flip754 import (
     Word,
 )
 from flip754 import montecarlo
-from flip754._vector import FlipKernel, enumerate_class, outcome_key, sample_class_bits
+from flip754._vector import BATCH, Case, FlipKernel, enumerate_class, outcome_key, sample_class_bits
 from conftest import PLANTED_FAULTS, SMALL_FORMATS, TINY_FORMATS, brute_census
 
 ORDER = [FpClass.NORMALIZED, FpClass.DENORMALIZED, FpClass.NAN, FpClass.INF]
@@ -77,6 +77,79 @@ def test_census_case_accounting(small_format):
         assert sum(report.tally.buckets) == report.cases
         total += report.class_size
     assert total == 1 << small_format.total_bits
+
+
+# ── the census tally against its per-lane form ────────────────────────────
+
+
+def _cells_reference(tally, kernel: FlipKernel, pos: int) -> np.ndarray:
+    """`_MutableTally.cells` as first written: every lane's flat index, its
+    column the position or, for DEN_FRAC_LE, the level lead - pos."""
+    label, dst = kernel.label(pos), kernel.dst(pos)
+    pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label
+    column = pos
+    if kernel.has_den:
+        column = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, pos)
+    return pair_case.astype(np.intp) * tally.fmt.total_bits + column
+
+
+def _top_denormals(fmt: FpFormat) -> np.ndarray:
+    """Both signs' denormals with the top fraction bit set: below position
+    w_f - 1 every flip of theirs is DEN_FRAC_LE, in one pair case."""
+    f = np.arange(1 << (fmt.fraction_bits - 1), 1 << fmt.fraction_bits, dtype=np.uint64)
+    return np.concatenate([f, f | np.uint64(1 << (fmt.total_bits - 1))])
+
+
+@pytest.mark.parametrize(
+    "fmt", TINY_FORMATS + [FpFormat(6, 13), FpFormat(2, 9)], ids=lambda f: f.name
+)
+def test_census_tally_matches_its_per_lane_form(fmt):
+    """`add` counts the same histogram as the per-lane cells and one
+    `bincount` per position did, on every class and on a batch that is
+    DEN_FRAC_LE alone at most fraction positions."""
+    batches = [chunk for cls in ORDER for chunk in enumerate_class(fmt, cls)]
+    tally = montecarlo._MutableTally(fmt)
+    expected = np.zeros_like(tally.counts)
+    for bits in batches + [_top_denormals(fmt)]:
+        kernel = FlipKernel(fmt, bits)
+        for pos in range(fmt.total_bits):
+            tally.add(kernel, pos)
+            cell = _cells_reference(tally, kernel, pos)
+            expected += np.bincount(cell, minlength=expected.size).reshape(expected.shape)
+    assert np.array_equal(tally.counts, expected)
+
+
+@pytest.mark.parametrize("cls", [None, FpClass.NORMALIZED], ids=["all_classes", "normalized"])
+def test_census_positions_allocate_no_batch(cls):
+    """Once a kernel and a tally have run one batch, a second pass of
+    `label`, `held`, `dst` and `add` over every position raises the traced
+    peak by less than one uint64 batch: each writes into buffers its
+    kernel or tally allocated once.  Each flip and field split of the
+    after-words allocated a batch of its own before."""
+    fmt = FpFormat(6, 13)
+    if cls is None:
+        bits = np.random.default_rng(5).integers(0, 1 << fmt.total_bits, BATCH, dtype=np.uint64)
+    else:
+        bits = next(enumerate_class(fmt, cls))
+    kernel, tally = FlipKernel(fmt, bits), montecarlo._MutableTally(fmt)
+
+    def every_position():
+        for pos in range(fmt.total_bits):
+            kernel.label(pos)
+            kernel.held(pos)
+            kernel.dst(pos)
+            tally.add(kernel, pos)
+
+    every_position()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        every_position()
+        rise = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rise < 8 * BATCH, f"traced peak rose by {rise} bytes"
 
 
 # ── exhaustive census against the closed forms ────────────────────────────

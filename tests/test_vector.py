@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from flip754 import BINARY16, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify, flip_bit
 from flip754._vector import (
+    BATCH,
     Case,
     FlipKernel,
+    enumerate_class,
     msb_index,
     outcome_key,
     sample_class_bits,
     split_fields,
 )
 
-from conftest import BYTE_FORMATS, fraction_relative_error
+from conftest import BYTE_FORMATS, TINY_FORMATS, fraction_relative_error
 
 
 def test_msb_index_matches_bit_length_at_every_power_of_two():
@@ -120,7 +122,8 @@ def test_case_codes_that_the_label_sums_rest_on():
     # One small format already takes every case, so no property goes untried.
     fmt = FpFormat(3, 2)
     kernel = FlipKernel(fmt, np.arange(1 << fmt.total_bits, dtype=np.uint64))
-    seen = np.concatenate([kernel.label(pos) for pos in range(fmt.total_bits)])
+    # copied: a label is valid only until the kernel's next label call
+    seen = np.concatenate([kernel.label(pos).copy() for pos in range(fmt.total_bits)])
     assert np.unique(seen).tolist() == list(range(Case.COUNT))
 
 
@@ -244,3 +247,36 @@ def test_outcome_key_writes_the_key_over_pos_and_leaves_bits(cls):
     again, _ = outcome_key(fmt, cls, bits, other)
     assert np.array_equal(again, key) and not np.shares_memory(again, other)
     assert np.array_equal(other, pos_before)
+
+
+# ── class enumeration ─────────────────────────────────────────────────────
+
+
+def _enumerate_class_reference(fmt: FpFormat, cls: FpClass):
+    """`enumerate_class` as first written: chunks of the class's index
+    range, each index split into sign, exponent and fraction by divmod."""
+    e0, n_e, f0, n_f = _class_ranges(fmt, cls)
+    per_sign = n_e * n_f
+    total = 2 * per_sign
+    for start in range(0, total, BATCH):
+        idx = np.arange(start, min(start + BATCH, total), dtype=np.uint64)
+        s, rem = np.divmod(idx, np.uint64(per_sign))
+        e, f = np.divmod(rem, np.uint64(n_f))
+        yield (
+            (s << np.uint64(fmt.total_bits - 1))
+            | ((e + np.uint64(e0)) << np.uint64(fmt.fraction_bits))
+            | (f + np.uint64(f0))
+        )
+
+
+@pytest.mark.parametrize(
+    "fmt", TINY_FORMATS + [FpFormat(6, 13), FpFormat(2, 9)], ids=lambda f: f.name
+)
+def test_enumerate_class_matches_its_divmod_form(fmt):
+    for cls in CLASSES:
+        chunks = list(enumerate_class(fmt, cls))
+        for chunk in chunks:
+            assert chunk.dtype == np.uint64 and 0 < chunk.size <= BATCH
+            assert np.all(chunk[1:] > chunk[:-1])
+        expected = np.concatenate(list(_enumerate_class_reference(fmt, cls)))
+        assert np.array_equal(np.concatenate(chunks), expected)
