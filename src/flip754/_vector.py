@@ -30,10 +30,10 @@ thread at a time.
 
 The census and sweep path allocates no 8-byte array per position either:
 a `FlipKernel` allocates its per-position buffers once, `flip_bits`,
-`split_fields` and `_class_codes` write into them through their `out`
-arguments, and `label`, `held` and `dst` each return one of them, valid
-until the next call of the same method on that kernel.  A kernel belongs
-to one thread.
+`split_fields` (exponent and fraction; no caller needs a split sign) and
+`_class_codes` write into them through their `out` arguments, and
+`label`, `held` and `dst` each return one of them, valid until the next
+call of the same method on that kernel.  A kernel belongs to one thread.
 
 Labels are built without selects: each is a uint8 sum of the uint8 views
 (0 or 1) of the label's comparison masks, weighted by differences of
@@ -128,23 +128,21 @@ def as_words(fmt: FpFormat, words: np.ndarray) -> np.ndarray:
 
 
 def split_fields(
-    fmt: FpFormat, bits: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split raw words into (sign, biased exponent, fraction) uint64 arrays,
-    written into `out` (three uint64 arrays shaped like `bits`) when given."""
+    fmt: FpFormat, bits: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split raw words into (biased exponent, fraction) uint64 arrays,
+    written into `out` (two uint64 arrays shaped like `bits`) when given."""
     b = np.asarray(bits, dtype=np.uint64)
-    s, e, f = (None, None, None) if out is None else out
-    s = np.right_shift(b, np.uint64(fmt.total_bits - 1), out=s)
-    s &= _U1
+    e, f = (None, None) if out is None else out
     e = np.right_shift(b, np.uint64(fmt.fraction_bits), out=e)
     e &= np.uint64(fmt.exponent_all_ones)
     f = np.bitwise_and(b, np.uint64(fmt.fraction_mask), out=f)
-    return s, e, f
+    return e, f
 
 
 def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     """Class code per word, indexing into CLASS_ORDER."""
-    _, e, f = split_fields(fmt, bits)
+    e, f = split_fields(fmt, bits)
     return _class_codes(fmt, e, f)
 
 
@@ -187,20 +185,22 @@ class FlipKernel:
     """Closed-form outcomes of flipping one bit of every word of a batch.
 
     Construction does the work that depends only on the source words:
-    fields, class codes, the nonzero-denormal mask and, when the batch
-    holds nonzero denormals, msb_index(f) with the leading-entry identity
-    2^lead <= f < 2^(lead+1).  Per position the kernel then answers three
-    questions, each computed only when a reduction asks for it:
+    exponents and fractions, class codes, the nonzero-denormal mask and,
+    when the batch holds nonzero denormals, msb_index(f) with the
+    leading-entry identity 2^lead <= f < 2^(lead+1).  Per position the
+    kernel then answers three questions, each computed only when a
+    reduction asks for it:
 
     * `label(pos)`: the `Case` of each flip, from the source fields only;
-    * `held(pos)`: whether the after-word differs from the source exactly
-      where the case says, which is what the bounds sweep counts;
+    * `held(pos)`: whether each field of the word changed exactly as the
+      flip predicts, which is what the bounds sweep counts;
     * `dst(pos)`: the class code of each after-word, which the census and
       the campaign tally with the label.
 
-    `held` and `dst` each cost one flip and one field split of the
-    after-words.  Construction also allocates the buffers that every
-    position's work writes into (the after-words, their fields, and one
+    `held` and `dst` each cost one flip and one split into exponent and
+    fraction: of the change after ^ bits for `held`, of the after-words
+    for `dst`.  Construction also allocates the buffers that every
+    position's work writes into (the after-words, the two fields, and one
     result array per method), so a call allocates no array of 8-byte
     lanes.  The array a method returns is one of these buffers: it stays
     valid until the next call of the same method, and `held` and `dst`,
@@ -211,7 +211,7 @@ class FlipKernel:
     def __init__(self, fmt: FpFormat, bits: np.ndarray) -> None:
         self.fmt = fmt
         self.bits = np.asarray(bits, dtype=np.uint64)
-        self.s, self.e, self.f = split_fields(fmt, self.bits)
+        self.e, self.f = split_fields(fmt, self.bits)
         self.codes = _class_codes(fmt, self.e, self.f)
         self.norm = norm = self.codes == CLASS_CODE[FpClass.NORMALIZED]
         f_zero = self.f == 0
@@ -226,9 +226,9 @@ class FlipKernel:
         self._sign_label = Case.SIGN * (self._norm8 + self._den8)
         self._frac_label = Case.NORM_FRAC * self._norm8
         self._exp_label = Case.DEN_EXP * self._den8
-        # the after-words (also label's exponent temporary) and their fields
+        # the after-words (also held's change and label's temporary), split
         self._word = np.empty_like(self.bits)
-        self._fields = tuple(np.empty_like(self.bits) for _ in range(3))
+        self._fields = (np.empty_like(self.bits), np.empty_like(self.bits))
         self._label, self._dst = (np.empty_like(self.bits, dtype=np.uint8) for _ in range(2))
         self._held = np.empty_like(self.bits, dtype=np.bool_)
 
@@ -281,36 +281,29 @@ class FlipKernel:
     def held(self, pos: int) -> np.ndarray:
         """Whether the prediction for the flip of `pos` held, per word.
 
-        Judged from the after-word: the flip must change exactly the
-        predicted field entry and leave the other fields as they were;
-        denormal fraction cases also need the leading-entry identity
-        their interval rests on.
+        Judged from the change the flip made, after ^ bits: each field of
+        it must equal that field of the flip mask 2^pos, with the sign read
+        as the top bit and the exponent and the fraction split by
+        `split_fields`.  Denormal fraction cases also need the
+        leading-entry identity their interval rests on.
         """
-        fmt, s, e, f = self.fmt, self.s, self.e, self.f
-        w_f = fmt.fraction_bits
-        s2, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
-        if pos == fmt.total_bits - 1:
-            held = np.not_equal(s2, s, out=self._held)
-            held &= e2 == e
-            held &= f2 == f
-            return held
-        held = np.equal(s2, s, out=self._held)
-        if pos < w_f:
-            held &= e2 == e
-            f2 ^= f
-            held &= f2 == _U1 << np.uint64(pos)
-            if self.has_den:
-                held &= self.lead_ok
-            return held
-        held &= f2 == f
-        e2 ^= e
-        held &= e2 == _U1 << np.uint64(pos - w_f)
+        fmt, flip = self.fmt, 1 << pos
+        top, w_f = fmt.total_bits - 1, fmt.fraction_bits
+        change = flip_bits(self.bits, pos, out=self._word)
+        change ^= self.bits
+        e, f = split_fields(fmt, change, out=self._fields)
+        change >>= np.uint64(top)
+        held = np.equal(change, np.uint64(flip >> top), out=self._held)
+        held &= e == np.uint64(flip >> w_f & fmt.exponent_all_ones)
+        held &= f == np.uint64(flip & fmt.fraction_mask)
+        if pos < w_f and self.has_den:
+            held &= self.lead_ok
         return held
 
     def dst(self, pos: int) -> np.ndarray:
         """Class code of each word after the flip of `pos`."""
         fmt = self.fmt
-        _, e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
+        e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
         return _class_codes(fmt, e2, f2, out=self._dst)
 
 
@@ -352,7 +345,7 @@ def outcome_key(
     w_f = fmt.fraction_bits
     if cls is FpClass.NORMALIZED:
         lane = np.flatnonzero((p >= np.uint64(w_f)) & (p < np.uint64(w_f + fmt.exponent_bits)))
-        e, f = split_fields(fmt, b[lane])[1:]
+        e, f = split_fields(fmt, b[lane])
         e2 = p[lane]  # becomes e ^ 2^(pos - w_f) in place
         e2 -= np.uint64(w_f)
         np.left_shift(_U1, e2, out=e2)
@@ -370,7 +363,7 @@ def outcome_key(
     width = 2 if cls is FpClass.NAN else 2 * (w_f + 1)
     for start in range(0, b.size, BATCH):
         lanes = slice(start, start + BATCH)
-        f = split_fields(fmt, b[lanes])[2]
+        f = split_fields(fmt, b[lanes])[1]
         if cls is FpClass.NAN:
             flags = f == _U1 << p[lanes]
         else:

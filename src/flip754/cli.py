@@ -540,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fmt = _parse_format(args.format)
         return args.handler(fmt, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a --count too large to draw
         print(f"flip754: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -171,7 +171,7 @@ def error_rows(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray, digits: int) ->
     """
     b, p = np.asarray(bits, dtype=np.uint64), np.asarray(pos, dtype=np.int64)
     w_f, top = fmt.fraction_bits, np.uint64(fmt.exponent_all_ones)
-    _, e, f = split_fields(fmt, b)
+    e, f = split_fields(fmt, b)
     defined = (e != top) & ((e != 0) | (f != 0))
     expo = (p >= w_f) & (p < fmt.total_bits - 1)
     e2 = e ^ (np.uint64(1) << np.where(expo, p - w_f, 0).astype(np.uint64))

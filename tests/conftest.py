@@ -17,6 +17,7 @@ import pytest
 import flip754
 from flip754 import _vector
 from flip754 import (
+    BINARY64,
     ErrorKind,
     FpClass,
     FpFormat,
@@ -123,6 +124,43 @@ def brute_census(fmt: FpFormat, cls: FpClass) -> dict:
     }
 
 
+def _binary64_words(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
+    """n binary64 words of one kind: normalized, denormal (nonzero), zero,
+    nan or inf.  Normalized words draw from the edge exponents too, whose
+    flips land on the all-ones code, in the denormals or on zero."""
+    top, w_f = BINARY64.exponent_all_ones, BINARY64.fraction_bits
+    s = rng.integers(0, 2, n, dtype=np.uint64)
+    f = rng.integers(1, BINARY64.fraction_mask + 1, n, dtype=np.uint64)
+    if kind == "normalized":
+        edge = [top ^ (1 << k) for k in range(11)] + [1 << k for k in range(11)]
+        e = rng.choice(np.array(edge + [5, 1023, top - 1] * 8, np.uint64), n)
+        f[::3] = 0
+    elif kind == "denormal":
+        e, f = 0, f >> rng.integers(0, w_f, n, dtype=np.uint64) | np.uint64(1)
+    else:
+        e, f = (0, 0) if kind == "zero" else (top, f if kind == "nan" else 0)
+    return s << np.uint64(63) | np.uint64(e) << np.uint64(w_f) | np.uint64(f)
+
+
+def binary64_batches() -> np.ndarray:
+    """300 binary64 words, meant to be judged in batches of 64: normalized
+    only (no denormal); every kind; undefined only; every kind; and a
+    partial batch of every kind."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(13)))
+    every = {"normalized": 32, "denormal": 16, "zero": 6, "nan": 5, "inf": 5}
+    batches = [
+        {"normalized": 64},
+        every,
+        {"zero": 22, "nan": 21, "inf": 21},
+        every,
+        {"normalized": 20, "denormal": 12, "zero": 4, "nan": 4, "inf": 4},
+    ]
+    return np.concatenate([
+        rng.permutation(np.concatenate([_binary64_words(rng, k, n) for k, n in mix.items()]))
+        for mix in batches
+    ])
+
+
 # ── planted faults for mutation tests ─────────────────────────────────────
 #
 # Each replaces one primitive of `flip754._vector`, which the flip-outcome
@@ -151,22 +189,40 @@ def _exponent_mis_split(real, fmt):
     """split_fields that drops the lowest exponent bit."""
 
     def split_fields(fmt_, bits, out=None):
-        s, e, f = real(fmt_, bits, out)
-        return s, e & ~np.uint64(1), f
+        e, f = real(fmt_, bits, out)
+        return e & ~np.uint64(1), f
 
     return split_fields
 
 
 def _fraction_mis_split(real, fmt):
     """split_fields that drops the lowest fraction bit.  The flip of bit 0
-    then leaves the split fraction as it was, so only a field-wise check
-    of the after-word sees it: the whole words still differ in bit 0."""
+    then shows no change in the split fraction, so only a field-wise check
+    sees it: the whole words still differ in bit 0."""
 
     def split_fields(fmt_, bits, out=None):
-        s, e, f = real(fmt_, bits, out)
-        return s, e, f & ~np.uint64(1)
+        e, f = real(fmt_, bits, out)
+        return e, f & ~np.uint64(1)
 
     return split_fields
+
+
+def sign_co_flip(real, fmt):
+    """flip_bits that also flips the sign bit at every non-sign position.
+
+    Only the bounds sweep's sign check can see it, so it stays out of
+    PLANTED_FAULTS, whose every fault must also turn the census and the
+    campaign red: a sign flip changes neither the destination class nor
+    the case label, so every census tally of 3,2 is unchanged under it.
+    """
+    top = np.uint64(fmt.total_bits - 1)
+
+    def flip_bits(bits, pos, out=None):
+        flipped = real(bits, pos, out)
+        flipped ^= (np.asarray(pos, dtype=np.uint64) != top).astype(np.uint64) << top
+        return flipped
+
+    return flip_bits
 
 
 PLANTED_FAULTS = {

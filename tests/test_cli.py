@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -839,6 +840,31 @@ def test_inject_usage_errors(capsys, tmp_path):
     assert main(["inject", "--in", str(tmp_path / "no.bin"),
                  "--out", str(out), "--count", "1"]) == 2
     capsys.readouterr()
+
+
+def test_inject_count_too_large_to_draw_is_an_input_error(tmp_path):
+    """A count whose event columns cannot be allocated exits 2 with one
+    message line, before the output stream is opened.  The child's address
+    space is capped, so the allocation fails on any host."""
+    stream = tmp_path / "in.bin"
+    stream.write_bytes(struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+    out = tmp_path / "out.bin"
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "flip754", "inject", "--in", str(stream), "--out", str(out),
+         "--count", "1000000000000"],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+        preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("flip754: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_exit_three_on_model_mismatch(capsys):

@@ -33,6 +33,7 @@ from flip754 import (
     bounds_sweep,
     check_bounds,
     classify,
+    exhaustive_census,
     flip_bit,
     recompose,
     relative_error,
@@ -40,7 +41,7 @@ from flip754 import (
     word_to_float,
 )
 from flip754._vector import sample_class_bits
-from flip754 import rationals, relerr
+from flip754 import _vector, rationals, relerr
 from flip754.rationals import MAX_EXACT_BITS, ratio_str
 from flip754.relerr import error_ratio, error_rows, error_values
 from conftest import (
@@ -48,7 +49,9 @@ from conftest import (
     PLANTED_FAULTS,
     SMALL_FORMATS,
     TINY_FORMATS,
+    binary64_batches,
     fraction_relative_error,
+    sign_co_flip,
 )
 
 
@@ -346,40 +349,8 @@ def test_sweep_agrees_with_scalar_checks(fmt):
     assert rep.violation_examples == ()
 
 
-def _binary64_words(rng: np.random.Generator, kind: str, n: int) -> np.ndarray:
-    """n binary64 words of one kind: normalized, denormal (nonzero), zero,
-    nan or inf.  Normalized words draw from the edge exponents too, whose
-    flips land on the all-ones code, in the denormals or on zero."""
-    top, w_f = BINARY64.exponent_all_ones, BINARY64.fraction_bits
-    s = rng.integers(0, 2, n, dtype=np.uint64)
-    f = rng.integers(1, BINARY64.fraction_mask + 1, n, dtype=np.uint64)
-    if kind == "normalized":
-        edge = [top ^ (1 << k) for k in range(11)] + [1 << k for k in range(11)]
-        e = rng.choice(np.array(edge + [5, 1023, top - 1] * 8, np.uint64), n)
-        f[::3] = 0
-    elif kind == "denormal":
-        e, f = 0, f >> rng.integers(0, w_f, n, dtype=np.uint64) | np.uint64(1)
-    else:
-        e, f = (0, 0) if kind == "zero" else (top, f if kind == "nan" else 0)
-    return s << np.uint64(63) | np.uint64(e) << np.uint64(w_f) | np.uint64(f)
-
-
 def test_sweep_agrees_with_scalar_checks_on_binary64_batches(monkeypatch):
-    """Batches of 64 words: normalized only (no denormal); every kind;
-    undefined only; every kind; and a partial batch of every kind."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(13)))
-    every = {"normalized": 32, "denormal": 16, "zero": 6, "nan": 5, "inf": 5}
-    batches = [
-        {"normalized": 64},
-        every,
-        {"zero": 22, "nan": 21, "inf": 21},
-        every,
-        {"normalized": 20, "denormal": 12, "zero": 4, "nan": 4, "inf": 4},
-    ]
-    bits = np.concatenate([
-        rng.permutation(np.concatenate([_binary64_words(rng, k, n) for k, n in mix.items()]))
-        for mix in batches
-    ])
+    bits = binary64_batches()
     assert bits.size == 300
     monkeypatch.setattr(relerr, "BATCH", 64)
     rep = bounds_sweep(BINARY64, bits)
@@ -421,6 +392,26 @@ def test_sweep_catches_planted_faults(plant_fault, fault):
     else:
         assert rep.violations > 0
         assert len(rep.violation_examples) == 10
+
+
+def test_sweep_catches_a_sign_co_flip(monkeypatch):
+    """A flip that also changes the sign at a non-sign position moves no
+    census tally; only the sweep's sign check sees it, at every one of
+    the 63 non-sign positions of each word."""
+    fmt = FpFormat(3, 2)
+    clean = [exhaustive_census(fmt, cls).tally for cls in FpClass]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    bits = np.concatenate([
+        sample_class_bits(BINARY64, cls, rng, 2000)
+        for cls in (FpClass.NORMALIZED, FpClass.DENORMALIZED)
+    ])
+    real = _vector.flip_bits
+    monkeypatch.setattr(_vector, "flip_bits", sign_co_flip(real, fmt))
+    assert [exhaustive_census(fmt, cls).tally for cls in FpClass] == clean
+    monkeypatch.setattr(_vector, "flip_bits", sign_co_flip(real, BINARY64))
+    rep = bounds_sweep(BINARY64, bits)
+    assert rep.violations == bits.size * 63
+    assert len(rep.violation_examples) == 10
 
 
 def test_sweep_refuses_an_over_wide_word():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flip754 import BINARY16, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify, flip_bit
+from flip754 import _vector
 from flip754._vector import (
     BATCH,
     Case,
@@ -21,7 +22,13 @@ from flip754._vector import (
     split_fields,
 )
 
-from conftest import BYTE_FORMATS, TINY_FORMATS, fraction_relative_error
+from conftest import (
+    BYTE_FORMATS,
+    PLANTED_FAULTS,
+    TINY_FORMATS,
+    binary64_batches,
+    fraction_relative_error,
+)
 
 
 def test_msb_index_matches_bit_length_at_every_power_of_two():
@@ -147,6 +154,53 @@ def test_label_check_sees_a_planted_label_fault(monkeypatch):
     assert misses and {case for _, _, case in misses} == {Case.EXP_UP}
 
 
+# ── FlipKernel.held against its three-branch form ────────────────────────
+
+
+def _held_reference(kernel: FlipKernel, pos: int) -> np.ndarray:
+    """`FlipKernel.held` as first written, one branch per field.  The sign
+    is read as the words' top bit; the flip and the other two fields go
+    through `_vector` by name, so a planted fault reaches both forms."""
+    fmt, bits = kernel.fmt, kernel.bits
+    top, w_f = np.uint64(fmt.total_bits - 1), fmt.fraction_bits
+    after = _vector.flip_bits(bits, pos)
+    s, s2 = bits >> top, after >> top
+    e, f = _vector.split_fields(fmt, bits)
+    e2, f2 = _vector.split_fields(fmt, after)
+    if pos == fmt.total_bits - 1:
+        return (s2 != s) & (e2 == e) & (f2 == f)
+    held = s2 == s
+    if pos < w_f:
+        held &= (e2 == e) & ((f2 ^ f) == np.uint64(1 << pos))
+        if kernel.has_den:
+            held &= kernel.lead_ok
+        return held
+    return held & (f2 == f) & ((e2 ^ e) == np.uint64(1 << (pos - w_f)))
+
+
+@pytest.mark.parametrize("fmt", TINY_FORMATS, ids=lambda f: f.name)
+def test_held_matches_its_three_branch_form(fmt):
+    kernel = FlipKernel(fmt, np.arange(1 << fmt.total_bits, dtype=np.uint64))
+    for pos in range(fmt.total_bits):
+        assert np.array_equal(kernel.held(pos), _held_reference(kernel, pos)), pos
+
+
+@pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
+def test_held_matches_its_three_branch_form_on_binary64_batches(plant_fault, fault):
+    if fault is not None:
+        plant_fault(fault, BINARY64)
+    bits = binary64_batches()
+    verdicts = []
+    for start in range(0, bits.size, 64):
+        kernel = FlipKernel(BINARY64, bits[start:start + 64])
+        for pos in range(64):
+            held = kernel.held(pos)
+            assert np.array_equal(held, _held_reference(kernel, pos)), (start, pos)
+            verdicts.append(held.all())
+    # the batches are wide enough for every planted fault to fail a verdict
+    assert all(verdicts) == (fault is None)
+
+
 # ── the campaign's chunk kernels ──────────────────────────────────────────
 
 # Draw ranges per class, as (first biased exponent, count, first fraction,
@@ -195,7 +249,7 @@ def _outcome_key_reference(fmt, cls, bits, pos):
         key = (p << np.uint64(4)).view(np.intp)
         d = p - np.uint64(w_f)  # wraps past w_e below the exponent field
         lane = np.flatnonzero(d < np.uint64(fmt.exponent_bits))
-        _, e, f = split_fields(fmt, b[lane])
+        e, f = split_fields(fmt, b[lane])
         e2 = e ^ (np.uint64(1) << d[lane])
         key[lane] += (
             (e2 > e).view(np.uint8)
@@ -204,7 +258,7 @@ def _outcome_key_reference(fmt, cls, bits, pos):
             | (f == 0).view(np.uint8) << 3
         )
         return key, 16
-    _, e, f = split_fields(fmt, b)
+    e, f = split_fields(fmt, b)
     if cls is FpClass.DENORMALIZED:
         width = 2 * (w_f + 1)
         pow2 = np.bitwise_count(f) == 1
