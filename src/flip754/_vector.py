@@ -1,4 +1,4 @@
-"""Internal numpy kernels shared by the census, campaign and sweep engines.
+"""Internal numpy kernels shared by the census, campaign, sweep and inject engines.
 
 Everything here works on uint64 arrays of raw words and stays exact:
 field splits, flips and `msb_index` are pure bit arithmetic, with no
@@ -17,7 +17,8 @@ reduction asks only for what it reads:
   words of each key, weighting each outcome by its key's count;
 * the bounds sweep in `relerr` counts whether each prediction held
   (`held`), and reads the label only at exponent positions, where it
-  parts the non-finite and one-sided cases from the conforming ones.
+  parts the non-finite and one-sided cases from the conforming ones;
+* `relerr.error_rows` keys each inject error off the fraction by `label`.
 
 The campaign's chunk path allocates no 8-byte array as long as a chunk
 past its four draws (sign, exponent, fraction, position):

@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Callable, Iterable
@@ -29,6 +30,7 @@ from fractions import Fraction
 from ._vector import CLASS_ORDER
 from .analytic import (
     BucketConvention,
+    ToleranceResolutionError,
     cdf_dyadic,
     decimal_threshold_bounds,
     interval_probabilities,
@@ -71,7 +73,9 @@ EXIT_MISMATCH = 3
 # is never built as an exact rational (10^2000000 alone takes 0.7 s).  A
 # finite nonzero word that far out needs a scale past MAX_EXACT_BITS on
 # every format: 10^20000 > 2^66438, and a word's scale lies below its
-# binade's exponent by the fraction width, at most 61 bits.
+# binade's exponent by the fraction width, at most 61 bits.  A `bounds
+# --tol` that far out lies below 2^-61, every format's finest level, or
+# above 1/4, so it is refused as it is.
 DECIMAL_EXPONENT_LIMIT = 20_000
 
 
@@ -110,18 +114,27 @@ def _parse_word(fmt: FpFormat, text: str) -> Word:
     return far if far is not None else encode_nearest(fmt, abs(parse_rational(t)), sign)
 
 
+def _far_literal(text: str) -> Decimal | None:
+    """`text` as a Decimal when it is a finite nonzero decimal literal whose
+    leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT; None for any nearer
+    literal, a rational such as 13/128, or no number.  No exact rational
+    is built."""
+    try:
+        dec = Decimal(text)
+    except InvalidOperation:
+        return None
+    return dec if dec.is_finite() and dec and abs(dec.adjusted()) > DECIMAL_EXPONENT_LIMIT else None
+
+
 def _far_decimal(fmt: FpFormat, text: str, sign: int) -> Word | None:
     """±0 or ±inf for a decimal literal past 10^±DECIMAL_EXPONENT_LIMIT
     whose whole decade [10^a, 10^(a+1)) rounds there; None for any nearer
     literal or rational.  The decade's log2 ends are floats, each within a
     relative 2^-51 of the exact value."""
-    try:
-        dec = Decimal(text)
-    except InvalidOperation:  # a rational such as 13/128, or no number
+    dec = _far_literal(text)
+    if dec is None:
         return None
     a = dec.adjusted()
-    if not dec.is_finite() or not dec or abs(a) <= DECIMAL_EXPONENT_LIMIT:
-        return None
     lo, hi = a * math.log2(10), (a + 1) * math.log2(10)
     slack = max(abs(lo), abs(hi)) * 2.0**-50
     if hi + slack <= -(fmt.bias + fmt.fraction_bits):  # at most half the least denormal
@@ -340,6 +353,14 @@ def _cmd_cdf(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 def _cmd_bounds(fmt: FpFormat, args: argparse.Namespace) -> int:
     if args.tol is not None:
+        far = _far_literal(args.tol)
+        if far is not None and 0 < far < 1:
+            raise ToleranceResolutionError(
+                f"tolerance {args.tol.strip()} lies below 10^-{DECIMAL_EXPONENT_LIMIT}, "
+                f"finer than the format's resolution 2^-{fmt.fraction_bits}"
+            )
+        if far is not None:  # negative, or above 1/4
+            raise ValueError("tolerance must lie in (0, 1/4]")
         table = [decimal_threshold_bounds(fmt, parse_rational(args.tol))]
     else:
         table = tolerance_table(fmt)
@@ -388,20 +409,16 @@ def _cmd_census(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
-    summary = inject_file(
-        args.infile,
-        args.outfile,
-        fmt,
-        seed=args.seed,
-        rate=args.rate,
-        count=args.count,
-        endian=args.endian,
-    )
+    inject = functools.partial(inject_file, args.infile, fmt=fmt, seed=args.seed,
+                               rate=args.rate, count=args.count, endian=args.endian)
     if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
         # An exponent flip's step can pass the exact limit: refuse such an
-        # error before the first byte is printed.
-        for bits, pos in zip(summary.before.tolist(), summary.position.tolist()):
+        # error before the first byte of the stream or of stdout is written,
+        # from a run that writes its stream nowhere.
+        dry = inject(os.devnull)
+        for bits, pos in zip(dry.before.tolist(), dry.position.tolist()):
             error_ratio(fmt, bits, pos)
+    summary = inject(args.outfile)
     _emit(fmt, "inject", summary.header_payload(), args.digits,
           functools.partial(summary.event_json, args.digits))
     return EXIT_OK

@@ -23,9 +23,9 @@ The summary keeps the events as four column arrays (word index, bit,
 word before, word after) in application order.  `event_json` writes
 the events list of the `inject` payload straight from them as JSON text,
 `EVENT_CHUNK` events at a time: classes as arrays, and each chunk's
-exact relative errors in one call to `relerr.error_rows` (its docstring
-says how it groups a chunk's flips, and `rationals` which decimals come
-from float64).
+exact relative errors in one call to `relerr.error_rows`, which computes
+fraction flips on arrays and every other flip once per position and
+`FlipKernel` case (`rationals` says which decimals come from float64).
 
 The CLI writes that text into its envelope part by part, so its memory
 is bounded by the event columns plus one chunk, whatever the file size.

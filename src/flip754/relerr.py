@@ -4,9 +4,10 @@ The relative error |x - x'| / |x| of a flip is computed on integers as
 a lowest-terms pair n/d (`error_ratio`) and handed out as an exact
 `Fraction` (`relative_error`); no floating-point rounding enters
 anywhere.  `error_values` renders one flip's error for printing, and
-`error_rows` renders a whole chunk of flips to the same values, with
-numpy where the case analysis allows it.  For finite nonzero sources
-each flip locus carries a closed-form prediction:
+`error_rows` renders a whole chunk of flips to the same values: fraction
+flips with numpy, the others once per position and `FlipKernel` case.
+For finite nonzero sources each flip locus carries a closed-form
+prediction:
 
 * sign flip: exactly 2;
 * fraction entry k under leading entry t: in (2^(t-k-1), 2^(t-k)], where
@@ -24,10 +25,11 @@ each flip locus carries a closed-form prediction:
 one position and evaluates it with exact Fractions.  `bounds_sweep`
 judges every position of a whole uint64 array of words with integer
 comparisons only, through the flip-outcome kernel in `_vector` whose
-case labels the census and the campaign in `montecarlo` tally.  It
-counts the kernel's `held` verdicts, and reads case labels only at
-exponent positions, to set non-finite landings and one-sided denormal
-exponent flips apart; it never asks for destination classes.
+case labels the census and the campaign in `montecarlo` tally and
+`error_rows` keys.  It counts the kernel's `held` verdicts, and reads
+case labels only at exponent positions, to set non-finite landings and
+one-sided denormal exponent flips apart; it never asks for destination
+classes.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from itertools import repeat
 
 import numpy as np
 
-from ._vector import BATCH, Case, FlipKernel, as_words, msb_index, split_fields
+from ._vector import BATCH, Case, FlipKernel, as_words, msb_index
 from .formats import FpFormat, Word
 from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, ratio_text
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
-from ._vector import classify_codes, flip_bits  # noqa: F401
+from ._vector import classify_codes, flip_bits, split_fields  # noqa: F401
 from .formats import decode_value, flip_bit  # noqa: F401
 
 # Unexported: error_ratio/values/rows/payload are integer cores for sibling modules.
@@ -154,33 +156,33 @@ def error_values(fmt: FpFormat, bits: int, pos: int, digits: int) -> tuple:
 def error_rows(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray, digits: int) -> list[tuple]:
     """`error_values` of flipping bit pos[i] of each word bits[i], as one list.
 
-    The lanes of a chunk fall into three groups:
+    One `FlipKernel` over the chunk parts its lanes into two groups:
 
-    * errors a small key decides, each key rendered once by `error_values`
-      on its first lane: undefined sources, sign flips (exactly 2), and
-      exponent flips of normalized words that stay off exponent 0 (not
-      finite, exactly 2^(2^d) - 1 or exactly 1 - 2^-(2^d)); the key is
-      the position and the first two exponent-lane flags of
-      `_vector.outcome_key`, e2 > e and e2 all ones;
     * fraction flips of finite nonzero words: with significand m and
       z = min(pos, ctz(m)), the error in lowest terms is 2^(pos - z) over
       m >> z, computed on uint64 and rendered by `ratio_text` and
       `rationals.decimal_texts`; its log2 is (pos - z) - math.log2(m >> z),
       bit for bit `log2_ratio`, since math.log2 of a power of two is exact;
-    * exponent flips into or out of the denormals, by `error_values`.
+    * every other flip, keyed by its position and its `FlipKernel.label`
+      case, each key rendered once by `error_values` on its first lane.
+      EXP_TO_DEN and DEN_EXP errors depend on the fraction, so each such
+      lane is a key of its own.
     """
     b, p = np.asarray(bits, dtype=np.uint64), np.asarray(pos, dtype=np.int64)
-    w_f, top = fmt.fraction_bits, np.uint64(fmt.exponent_all_ones)
-    e, f = split_fields(fmt, b)
-    defined = (e != top) & ((e != 0) | (f != 0))
-    expo = (p >= w_f) & (p < fmt.total_bits - 1)
-    e2 = e ^ (np.uint64(1) << np.where(expo, p - w_f, 0).astype(np.uint64))
+    w_f = fmt.fraction_bits
+    kernel = FlipKernel(fmt, b)
+    defined = kernel.norm | kernel.den_nz
     frac = defined & (p < w_f)
-    scalar = defined & expo & ((e == 0) | (e2 == 0))
-    key = np.where(defined, p * 4 + expo * ((e2 > e) + 2 * (e2 == top)), -1)
+    case = np.full(b.size, Case.UNDEFINED)
+    for q in np.unique(p[defined & ~frac]).tolist():
+        at = p == q
+        case[at] = kernel.label(q)[at]
+    key = p * Case.COUNT + case
+    own = (case == Case.EXP_TO_DEN) | (case == Case.DEN_EXP)
+    key[own] = -1 - np.flatnonzero(own)
 
     out = np.empty(b.size, dtype=object)
-    lanes = np.flatnonzero(~frac & ~scalar)
+    lanes = np.flatnonzero(~frac)
     _, first, inverse = np.unique(key[lanes], return_index=True, return_inverse=True)
     table = np.empty(first.size, dtype=object)
     for j, i in enumerate(lanes[first].tolist()):
@@ -188,8 +190,7 @@ def error_rows(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray, digits: int) ->
     out[lanes] = table[inverse]
 
     lanes = np.flatnonzero(frac)
-    hidden = np.uint64(1 << w_f)
-    m = np.where(e != 0, f | hidden, f)[lanes]
+    m = np.where(kernel.e != 0, kernel.f | np.uint64(1 << w_f), kernel.f)[lanes]
     z = np.minimum(p[lanes], msb_index(m & (~m + np.uint64(1))))
     j, d = p[lanes] - z, m >> z.astype(np.uint64)
     n = np.uint64(1) << j.astype(np.uint64)
@@ -200,9 +201,6 @@ def error_rows(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray, digits: int) ->
         decimal_texts(n, d, digits), log2,
     )
     out[lanes] = np.fromiter(rows, dtype=object, count=lanes.size)
-
-    for i in np.flatnonzero(scalar).tolist():
-        out[i] = error_values(fmt, int(b[i]), int(p[i]), digits)
     return out.tolist()
 
 

@@ -655,6 +655,21 @@ def test_inject_refuses_an_error_past_the_exact_bit_limit(capsys, tmp_path):
         assert f"flipping bit {bit} " in err and "past the limit" in err
 
 
+def test_refused_inject_writes_no_stream(capsys, tmp_path):
+    """A refusal comes before any byte of the flipped stream: a fresh
+    `--out` is never created, and an input named as its own `--out`
+    keeps every byte."""
+    stream = tmp_path / "in.bin"
+    data = struct.pack("<64I", *[0x3FF00000] * 64)  # 2^-511 in 20,11
+    for out_path in (tmp_path / "out.bin", stream):
+        stream.write_bytes(data)
+        code, out, err = run_cli(capsys, "inject", "--format", "20,11", "--in", str(stream),
+                                 "--out", str(out_path), "--count", "100", "--seed", "1")
+        assert (code, out) == (2, "") and "flipping bit 30 needs a shift" in err
+        assert stream.read_bytes() == data
+    assert not (tmp_path / "out.bin").exists()
+
+
 @pytest.mark.parametrize("spec", ["binary64", "20,11", "30,33", "62,1"])
 def test_zero_prints_at_every_width(capsys, spec):
     """Zero is exact whatever the format's scale, down to -0 in 62,1."""
@@ -753,6 +768,21 @@ def test_bounds_past_resolution_names_a_tolerance_of_any_size(capsys):
     code, out, err = run_cli(capsys, "bounds", "--tol", "1e-5000")
     assert (code, out) == (2, "")
     assert f"tolerance 1/1{'0' * 5000} needs dyadic level 2^-16610, finer than" in err
+
+
+@pytest.mark.parametrize("tol, refusal", [
+    ("1e-2000000", "lies below 10^-20000, finer than the format's resolution 2^-52"),
+    ("1e-20000000", "lies below 10^-20000, finer than the format's resolution 2^-52"),
+    ("-1e-2000000", "tolerance must lie in (0, 1/4]"),
+    ("1e2000000", "tolerance must lie in (0, 1/4]"),
+])
+def test_far_decimal_tolerances_are_refused_within_seconds(tol, refusal):
+    """A `--tol` literal past 10^+-DECIMAL_EXPONENT_LIMIT is judged from its
+    exponent alone; 1e-2000000 took 72 s to build its refusal message
+    when it was first read as an exact rational."""
+    out = subprocess.run([sys.executable, "-m", "flip754", "bounds", f"--tol={tol}"],
+                         capture_output=True, text=True, timeout=30, env=package_env())
+    assert (out.returncode, out.stdout) == (2, "") and refusal in out.stderr
 
 
 # ── package API ───────────────────────────────────────────────────────────

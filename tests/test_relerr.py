@@ -559,6 +559,29 @@ def test_error_rows_named_binary64_cases(word, bit, digits, ratio, decimal):
     assert repr(row) == repr(error_values(BINARY64, word, bit, digits))
 
 
+SPLIT_FAULTS = [name for name, (attr, _) in PLANTED_FAULTS.items() if attr == "split_fields"]
+
+
+@pytest.mark.parametrize("fault", [None, *SPLIT_FAULTS])
+def test_error_rows_catch_planted_split_faults(plant_fault, fault):
+    """`error_rows` reads its fields and cases through one `FlipKernel`,
+    so a planted split fault moves some of its rows off `error_values`,
+    which splits each word itself.  The other two faults cannot reach it:
+    `label` neither flips a word nor reads the leading entry, and the
+    fraction path's `msb_index` is relerr's own binding, not the one the
+    kernel looks up in `_vector`."""
+    bits = binary64_batches()
+    words, positions = np.repeat(bits, 64).tolist(), list(range(64)) * bits.size
+    want = scalar_rows(BINARY64, words, positions, 5)
+    if fault is not None:
+        plant_fault(fault, BINARY64)
+    got = chunk_rows(BINARY64, words, positions, 5)
+    if fault is None:
+        assert_same_rows(got, want)
+    else:
+        assert any(repr(a) != repr(b) for a, b in zip(got, want))
+
+
 def test_named_ties_need_the_exact_fallback(monkeypatch):
     # Certify every float candidate: the ties then round half up.
     certify = rationals._float_decimals
