@@ -1,9 +1,19 @@
 """Internal numpy kernels shared by the census, campaign, sweep and inject engines.
 
-Everything here works on uint64 arrays of raw words and stays exact:
+Everything here works on unsigned arrays of raw words and stays exact:
 field splits, flips and `msb_index` are pure bit arithmetic, with no
 float64 step.  The scalar routines in `formats` remain the reference
 semantics; these kernels are checked against them in the test suite.
+
+The flip kernel runs in the narrowest lane that holds a word,
+`lane_dtype`: uint32 for a format of at most 32 bits, else uint64.  Every
+census word has at most 24 bits, so its flips, splits and class tests
+move half the bytes that uint64 lanes would.  Both widths run the same
+functions: each scalar that meets a lane in them is a Python int, which
+numpy (NEP 50) casts to the lane's dtype, where an `np.uint64` scalar
+would promote a uint32 batch to uint64 temporaries.  The campaign's draws
+(`sample_class_bits`, `outcome_key`) stay uint64 at every width, since
+the seeded draw scheme is uint64.
 
 `FlipKernel` holds the one vector form of the closed-form case analysis
 of a flip (sign; fraction; exponent up, down, into the denormals or off
@@ -29,7 +39,7 @@ a time for a denormal or NaN one.  `montecarlo.run_campaign` gives each
 of its threads one word and one position buffer and runs one chunk per
 thread at a time.
 
-The census and sweep path allocates no 8-byte array per position either:
+The census and sweep path allocates no array of word lanes per position:
 a `FlipKernel` allocates its per-position buffers once, `flip_bits`,
 `split_fields` (exponent and fraction; no caller needs a split sign) and
 `_class_codes` write into them through their `out` arguments, and
@@ -128,16 +138,31 @@ def as_words(fmt: FpFormat, words: np.ndarray) -> np.ndarray:
     return a.astype(np.uint64, copy=False)
 
 
+def lane_dtype(fmt: FpFormat) -> type[np.unsignedinteger]:
+    """The flip kernel's lane for words of `fmt`: uint32 when they have at
+    most 32 bits, else uint64."""
+    return np.uint32 if fmt.total_bits <= 32 else np.uint64
+
+
+def _lanes(bits: np.ndarray) -> np.ndarray:
+    # uint32 lanes (`lane_dtype`) as they are; any other input as uint64
+    b = np.asarray(bits)
+    return b if b.dtype == np.uint32 else b.astype(np.uint64, copy=False)
+
+
 def split_fields(
     fmt: FpFormat, bits: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split raw words into (biased exponent, fraction) uint64 arrays,
-    written into `out` (two uint64 arrays shaped like `bits`) when given."""
-    b = np.asarray(bits, dtype=np.uint64)
+    """Split raw words into (biased exponent, fraction) arrays, written
+    into `out` (two arrays shaped like `bits`) when given.
+
+    uint32 words give uint32 fields (`lane_dtype`), any other input
+    uint64 ones."""
+    b = _lanes(bits)
     e, f = (None, None) if out is None else out
-    e = np.right_shift(b, np.uint64(fmt.fraction_bits), out=e)
-    e &= np.uint64(fmt.exponent_all_ones)
-    f = np.bitwise_and(b, np.uint64(fmt.fraction_mask), out=f)
+    e = np.right_shift(b, fmt.fraction_bits, out=e)
+    e &= fmt.exponent_all_ones
+    f = np.bitwise_and(b, fmt.fraction_mask, out=f)
     return e, f
 
 
@@ -154,17 +179,20 @@ def _class_codes(
     # den + top * (2 + (f == 0)), in `out` (uint8) when given
     code = np.equal(f, 0, out=None if out is None else out.view(np.bool_)).view(np.uint8)
     code += np.uint8(2)
-    code *= (e == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
+    code *= (e == fmt.exponent_all_ones).view(np.uint8)
     code += (e == 0).view(np.uint8)
     return code
 
 
 def flip_bits(bits: np.ndarray, pos: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
-    """XOR each word with 1 << pos (pos may be scalar or per-word), into
-    `out` (uint64) when given."""
-    b = np.asarray(bits, dtype=np.uint64)
-    p = np.asarray(pos, dtype=np.uint64)
-    return np.bitwise_xor(b, _U1 << p, out=out)
+    """XOR each word with 1 << pos, into `out` when given.
+
+    A Python int `pos` keeps the lanes of `bits` (uint32 words stay
+    uint32, `lane_dtype`); a per-word `pos` flips uint64 words."""
+    b = _lanes(bits)
+    if isinstance(pos, int):
+        return np.bitwise_xor(b, 1 << pos, out=out)
+    return np.bitwise_xor(b, _U1 << np.asarray(pos, dtype=np.uint64), out=out)
 
 
 def msb_index(values: np.ndarray) -> np.ndarray:
@@ -202,16 +230,21 @@ class FlipKernel:
     fraction: of the change after ^ bits for `held`, of the after-words
     for `dst`.  Construction also allocates the buffers that every
     position's work writes into (the after-words, the two fields, and one
-    result array per method), so a call allocates no array of 8-byte
+    result array per method), so a call allocates no array of word
     lanes.  The array a method returns is one of these buffers: it stays
     valid until the next call of the same method, and `held` and `dst`,
     which share the after-word buffers, leave each other's results and
     the label intact.  A kernel is therefore never shared between threads.
+
+    The kernel holds its words, fields and buffers in `lane_dtype(fmt)`
+    lanes, converting `bits` once: uint32 for the census and every format
+    of at most 32 bits, where each position's work then moves half the
+    bytes, and uint64 for binary64 and other wider formats.
     """
 
     def __init__(self, fmt: FpFormat, bits: np.ndarray) -> None:
         self.fmt = fmt
-        self.bits = np.asarray(bits, dtype=np.uint64)
+        self.bits = np.asarray(bits, dtype=lane_dtype(fmt))
         self.e, self.f = split_fields(fmt, self.bits)
         self.codes = _class_codes(fmt, self.e, self.f)
         self.norm = norm = self.codes == CLASS_CODE[FpClass.NORMALIZED]
@@ -221,8 +254,8 @@ class FlipKernel:
         self.lead = self.lead_ok = None
         if self.has_den:
             self.lead = msb_index(self.f)
-            shift = np.maximum(self.lead, 0).astype(np.uint64)
-            self.lead_ok = ~den_nz | ((self.f >> shift) == _U1)
+            shift = np.maximum(self.lead, 0).astype(self.bits.dtype)
+            self.lead_ok = ~den_nz | ((self.f >> shift) == 1)
         self._fz8, self._norm8, self._den8 = (m.view(np.uint8) for m in (f_zero, norm, den_nz))
         self._sign_label = Case.SIGN * (self._norm8 + self._den8)
         self._frac_label = Case.NORM_FRAC * self._norm8
@@ -252,20 +285,20 @@ class FlipKernel:
             if not self.has_den:
                 return self._frac_label
             # frac_label + den8 * (DEN_FRAC_GE + (f > bit) + (f >= 2 * bit))
-            bit = _U1 << np.uint64(pos)
+            bit = 1 << pos
             label = np.greater(f, bit, out=self._label.view(np.bool_)).view(np.uint8)
-            label += (f >= bit << _U1).view(np.uint8)
+            label += (f >= bit << 1).view(np.uint8)
             label += Case.DEN_FRAC_GE
             label *= self._den8
             label += self._frac_label
             return label
         # exp_label + norm8 * (down + up * (EXP_UP + nonfinite - down)), where
         # down = still + hit * (EXP_TO_DEN - still + fz8)
-        step = _U1 << np.uint64(pos - w_f)
+        step = 1 << (pos - w_f)
         t = np.bitwise_and(e, step, out=self._word)
         up = (t == 0).view(np.uint8)
         np.bitwise_or(e, step, out=t)
-        nonfinite = (t == np.uint64(fmt.exponent_all_ones)).view(np.uint8)
+        nonfinite = (t == fmt.exponent_all_ones).view(np.uint8)
         still = Case.EXP_HALF if pos == w_f else Case.EXP_DOWN
         down = np.add(self._fz8, Case.EXP_TO_DEN - still, out=self._label)
         down *= (e == step).view(np.uint8)
@@ -293,10 +326,10 @@ class FlipKernel:
         change = flip_bits(self.bits, pos, out=self._word)
         change ^= self.bits
         e, f = split_fields(fmt, change, out=self._fields)
-        change >>= np.uint64(top)
-        held = np.equal(change, np.uint64(flip >> top), out=self._held)
-        held &= e == np.uint64(flip >> w_f & fmt.exponent_all_ones)
-        held &= f == np.uint64(flip & fmt.fraction_mask)
+        change >>= top
+        held = np.equal(change, flip >> top, out=self._held)
+        held &= e == (flip >> w_f & fmt.exponent_all_ones)
+        held &= f == (flip & fmt.fraction_mask)
         if pos < w_f and self.has_den:
             held &= self.lead_ok
         return held
@@ -381,8 +414,9 @@ def outcome_key(
 
 
 def enumerate_class(fmt: FpFormat, cls: FpClass) -> Iterator[np.ndarray]:
-    """Yield every word of `cls` in ascending order, in uint64 chunks of at
-    most `BATCH` words.
+    """Yield every word of `cls` in ascending order, in chunks of at most
+    `BATCH` words of `lane_dtype(fmt)`, the lanes `FlipKernel` takes
+    without a copy.
 
     Under either sign the words of a class are one run of consecutive
     integers: its exponents and its fractions are contiguous ranges
@@ -395,7 +429,7 @@ def enumerate_class(fmt: FpFormat, cls: FpClass) -> Iterator[np.ndarray]:
     for sign in (0, 1 << (fmt.total_bits - 1)):
         stop = sign + first + n_e * n_f
         for start in range(sign + first, stop, BATCH):
-            yield np.arange(start, min(start + BATCH, stop), dtype=np.uint64)
+            yield np.arange(start, min(start + BATCH, stop), dtype=lane_dtype(fmt))
 
 
 def sample_class_bits(

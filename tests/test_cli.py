@@ -67,6 +67,8 @@ GOLDEN_CASES = [
     (("classify", "1.0"), "classify_one_binary64.json"),
     (("census", "--format", "6,13"), "census_6_13.json"),
     (("census", "--format", "5,10", "--convention", "separated"), "census_5_10_separated.json"),
+    # the widest census the CLI runs: 24-bit words, 2^14-word batches
+    (("census", "--format", "8,15", "--class", "normalized"), "census_8_15_normalized.json"),
 ]
 
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flip754 import BINARY16, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify, flip_bit
+from flip754 import BINARY16, BINARY32, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify
+from flip754 import flip_bit
 from flip754 import _vector
 from flip754._vector import (
     BATCH,
+    CLASS_CODE,
     Case,
     FlipKernel,
     enumerate_class,
+    lane_dtype,
     msb_index,
     outcome_key,
     sample_class_bits,
@@ -201,6 +204,95 @@ def test_held_matches_its_three_branch_form_on_binary64_batches(plant_fault, fau
     assert all(verdicts) == (fault is None)
 
 
+# ── lane widths ───────────────────────────────────────────────────────────
+
+
+def _scalar_flip(fmt: FpFormat, bits: int, pos: int) -> tuple[int, bool, int, int]:
+    """(label, held, destination code, source code) of the flip of `pos`
+    in `bits`, from Python-int fields and the scalar `classify` and
+    `flip_bit`, with each label read off its interval in `Case`."""
+    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
+    w = Word(bits, fmt)
+    after = flip_bit(w, pos)
+    e, f = bits >> w_f & top, bits & fmt.fraction_mask
+    norm, den = classify(w) is FpClass.NORMALIZED, e == 0 and f != 0
+    if not (norm or den):
+        label = Case.UNDEFINED
+    elif pos == fmt.total_bits - 1:
+        label = Case.SIGN
+    elif pos < w_f:
+        bit = 1 << pos
+        if norm:
+            label = Case.NORM_FRAC
+        elif f <= bit:
+            label = Case.DEN_FRAC_GE
+        else:
+            label = Case.DEN_FRAC_MID if f < 2 * bit else Case.DEN_FRAC_LE
+    elif den:
+        label = Case.DEN_EXP
+    else:
+        e2 = e ^ 1 << (pos - w_f)
+        if e2 > e:
+            label = Case.EXP_NONFINITE if e2 == top else Case.EXP_UP
+        elif e2 == 0:
+            label = Case.EXP_TO_ZERO if f == 0 else Case.EXP_TO_DEN
+        else:
+            label = Case.EXP_HALF if pos == w_f else Case.EXP_DOWN
+    held = after.bits ^ bits == 1 << pos
+    return int(label), held, CLASS_CODE[classify(after)], CLASS_CODE[classify(w)]
+
+
+def _field_words(fmt: FpFormat):
+    """Lists of words of `fmt`, each composed of a sign, an exponent that is
+    often an edge (zero, all ones, one bit set or clear) and a fraction that
+    is often 0, 1 or all ones, so that every class and every exponent case
+    turns up in a few draws."""
+    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
+    edges = sorted({0, top} | {b for k in range(fmt.exponent_bits) for b in (1 << k, top ^ 1 << k)})
+    exponent = st.one_of(st.sampled_from(edges), st.integers(0, top))
+    mask = fmt.fraction_mask
+    fraction = st.one_of(st.sampled_from([0, 1, mask]), st.integers(0, mask))
+    word = st.builds(
+        lambda s, e, f: s << (fmt.total_bits - 1) | e << w_f | f,
+        st.integers(0, 1), exponent, fraction,
+    )
+    return st.lists(word, min_size=1, max_size=64)
+
+
+# 32-bit shapes get uint32 lanes and 33-bit ones uint64 lanes, each with a
+# wide fraction and with a wide exponent; 6,13 is the benchmark's census.
+LANE_CASES = [
+    (BINARY32, np.uint32),
+    (FpFormat(2, 29), np.uint32),
+    (FpFormat(30, 1), np.uint32),
+    (FpFormat(8, 24), np.uint64),
+    (FpFormat(2, 30), np.uint64),
+    (FpFormat(6, 13), np.uint32),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt,lane", LANE_CASES, ids=lambda v: getattr(v, "name", None) or v.__name__
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernel_matches_the_scalar_flip_at_either_lane_width(fmt, lane, data):
+    """`label`, `held`, `dst` and `codes` of uint64 input words equal
+    `_scalar_flip` at every position, on both sides of the 32-bit lane
+    boundary, and the words and fields sit in lanes of the expected width."""
+    words = data.draw(_field_words(fmt))
+    kernel = FlipKernel(fmt, np.array(words, dtype=np.uint64))
+    for pos in range(fmt.total_bits):
+        expected = [_scalar_flip(fmt, bits, pos) for bits in words]
+        label, held, dst, code = (list(column) for column in zip(*expected))
+        assert kernel.label(pos).tolist() == label, pos
+        assert kernel.held(pos).tolist() == held, pos
+        assert kernel.dst(pos).tolist() == dst, pos
+        assert kernel.codes.tolist() == code
+    assert {kernel.bits.dtype, kernel.e.dtype, kernel.f.dtype} == {np.dtype(lane)}
+    assert lane_dtype(fmt) is lane
+
+
 # ── the campaign's chunk kernels ──────────────────────────────────────────
 
 # Draw ranges per class, as (first biased exponent, count, first fraction,
@@ -330,7 +422,7 @@ def test_enumerate_class_matches_its_divmod_form(fmt):
     for cls in CLASSES:
         chunks = list(enumerate_class(fmt, cls))
         for chunk in chunks:
-            assert chunk.dtype == np.uint64 and 0 < chunk.size <= BATCH
+            assert chunk.dtype == lane_dtype(fmt) and 0 < chunk.size <= BATCH
             assert np.all(chunk[1:] > chunk[:-1])
         expected = np.concatenate(list(_enumerate_class_reference(fmt, cls)))
         assert np.array_equal(np.concatenate(chunks), expected)
