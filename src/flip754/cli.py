@@ -19,7 +19,6 @@ import csv
 import functools
 import json
 import math
-import os
 import re
 import sys
 from collections.abc import Callable, Iterable
@@ -59,7 +58,7 @@ from .montecarlo import (
     run_campaign,
 )
 from .rationals import MAX_EXACT_BITS, decimal_str, log2_value, parse_rational, ratio_str
-from .relerr import check_bounds, error_payload, error_ratio
+from .relerr import check_bounds, error_payload
 
 __all__ = ["main", "CLI_SCHEMA"]
 
@@ -409,16 +408,8 @@ def _cmd_census(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(fmt: FpFormat, args: argparse.Namespace) -> int:
-    inject = functools.partial(inject_file, args.infile, fmt=fmt, seed=args.seed,
-                               rate=args.rate, count=args.count, endian=args.endian)
-    if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
-        # An exponent flip's step can pass the exact limit: refuse such an
-        # error before the first byte of the stream or of stdout is written,
-        # from a run that writes its stream nowhere.
-        dry = inject(os.devnull)
-        for bits, pos in zip(dry.before.tolist(), dry.position.tolist()):
-            error_ratio(fmt, bits, pos)
-    summary = inject(args.outfile)
+    summary = inject_file(args.infile, args.outfile, fmt, seed=args.seed, rate=args.rate,
+                          count=args.count, endian=args.endian)
     _emit(fmt, "inject", summary.header_payload(), args.digits,
           functools.partial(summary.event_json, args.digits))
     return EXIT_OK

@@ -17,7 +17,16 @@ at a time: a stable sort by word index groups each word's flips in event
 order, `searchsorted` cuts the groups at chunk edges, an XOR prefix over
 a chunk's masks gives the word every event saw, and
 `np.bitwise_xor.at` flips the chunk.  `inject_words` on an array is the
-one-chunk case of the same loop.
+one-chunk case of the same loop.  On formats whose exponent flips can
+pass `MAX_EXACT_BITS`, each chunk's events are checked by
+`relerr.error_ratio` before the chunk is passed on, so a run refuses
+what `event_json` could not render.
+
+`inject_file` writes its output to a temporary file beside it and
+renames that over the output after the last chunk, so a run that fails
+or is interrupted leaves the input and any old output as they were, and
+the output may name the input.  An output that is not a regular file,
+such as a pipe, is written as the run goes.
 
 The summary keeps the events as four column arrays (word index, bit,
 word before, word after) in application order.  `event_json` writes
@@ -47,7 +56,8 @@ import numpy as np
 
 from ._vector import CLASS_ORDER, as_words, classify_codes
 from .formats import FpClass, FpFormat, Word
-from .relerr import error_rows
+from .rationals import MAX_EXACT_BITS
+from .relerr import error_ratio, error_rows
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
@@ -87,15 +97,16 @@ def _layout(fmt: FpFormat, endian: str) -> tuple[int, np.dtype, slice]:
     raise ValueError(f"endian must be 'little' or 'big', not {endian!r}")
 
 
+def _word_count(n_bytes: int, nb: int) -> int:
+    if n_bytes % nb:
+        raise ValueError(f"stream length {n_bytes} is not a multiple of the {nb}-byte word size")
+    return n_bytes // nb
+
+
 def words_from_bytes(data: bytes, fmt: FpFormat, endian: str = "little") -> np.ndarray:
     """Decode a byte stream into a uint64 array of words."""
     nb, dtype, place = _layout(fmt, endian)
-    if len(data) % nb:
-        raise ValueError(
-            f"stream length {len(data)} is not a multiple of the "
-            f"{nb}-byte word size"
-        )
-    padded = np.zeros((len(data) // nb, 8), dtype=np.uint8)
+    padded = np.zeros((_word_count(len(data), nb), 8), dtype=np.uint8)
     padded[:, place] = np.frombuffer(data, dtype=np.uint8).reshape(-1, nb)
     return padded.view(dtype).ravel().astype(np.uint64, copy=False)
 
@@ -337,7 +348,9 @@ def _flip_chunks(
     Yields each chunk once its events are XORed into it in place, and
     fills the summary's `before` and `after` columns.  Events are in
     application order; within one word, the word an event saw is the
-    chunk's word XOR the masks of that word's earlier events.
+    chunk's word XOR the masks of that word's earlier events.  An event
+    whose exact error needs a shift past `MAX_EXACT_BITS` raises
+    ValueError before its chunk is yielded.
     """
     idx = summary.word_index
     masks = np.left_shift(np.uint64(1), summary.position.astype(np.uint64))
@@ -354,6 +367,9 @@ def _flip_chunks(
         before = chunk[here] ^ prefix ^ prefix[first]
         summary.before[rows] = before
         summary.after[rows] = before ^ m
+        if 1 << (summary.fmt.exponent_bits - 1) > MAX_EXACT_BITS:
+            for b, p in zip(before.tolist(), summary.position[rows].tolist()):
+                error_ratio(summary.fmt, b, p)
         np.bitwise_xor.at(chunk, here, m)
         yield chunk
         lo, start = hi, stop
@@ -372,7 +388,8 @@ def inject_words(
 
     Exactly one of `rate` and `count` must be given, and `words` must hold
     integer words of `fmt` (`_vector.as_words`).  The input array is not
-    modified.
+    modified.  An event whose exact error is past `MAX_EXACT_BITS` raises
+    ValueError, as `event_json` would.
     """
     out = np.array(as_words(fmt, words), copy=True)
     summary = _draw(fmt, endian, int(out.size), seed=seed, rate=rate, count=count)
@@ -395,34 +412,40 @@ def inject_file(
     The same run as `inject_words` on the whole stream, read, flipped and
     written `WORD_CHUNK` words at a time.  The input must be a regular
     file, whose size gives the word count before any word is read.
-    `out_path` may name the input itself, which is then rewritten in place.
+
+    A regular or missing `out_path` (a symlink is followed) is written to
+    a temporary file in its directory, with the old file's permission
+    bits, and renamed over it after the last chunk; on any exception the
+    temporary file is deleted.  So `out_path` may name the input, and a
+    run that stops part way changes no file.  Any other `out_path`, such
+    as a pipe, is written directly.
     """
     nb = _layout(fmt, endian)[0]
     with open(in_path, "rb") as src:
         info = os.fstat(src.fileno())
         if not stat.S_ISREG(info.st_mode):
             raise ValueError(f"{in_path}: the input stream must be a regular file")
-        if info.st_size % nb:
-            raise ValueError(
-                f"stream length {info.st_size} is not a multiple of the "
-                f"{nb}-byte word size"
-            )
         summary = _draw(
-            fmt, endian, info.st_size // nb, seed=seed, rate=rate, count=count
+            fmt, endian, _word_count(info.st_size, nb), seed=seed, rate=rate, count=count
         )
-        in_place = _same_file(info, out_path)
         chunks = _read_chunks(src, summary.word_count, fmt, endian)
-        with open(out_path, "r+b" if in_place else "wb") as dst:
-            for chunk in _flip_chunks(chunks, summary):
-                dst.write(words_to_bytes(chunk, fmt, endian))
+        out = os.path.realpath(out_path)
+        direct = os.path.exists(out) and not os.path.isfile(out)  # a pipe or a device
+        part = out if direct else f"{out}.{os.getpid()}.part"
+        dst = open(part, "wb" if direct else "xb")
+        try:
+            with dst:
+                if os.path.isfile(out):
+                    os.chmod(part, stat.S_IMODE(os.stat(out).st_mode))
+                for chunk in _flip_chunks(chunks, summary):
+                    dst.write(words_to_bytes(chunk, fmt, endian))
+            if not direct:
+                os.replace(part, out)
+        except BaseException:
+            if not direct:
+                os.unlink(part)
+            raise
     return summary
-
-
-def _same_file(info: os.stat_result, path: str | Path) -> bool:
-    try:
-        return os.path.samestat(info, os.stat(path))
-    except FileNotFoundError:
-        return False
 
 
 def _read_chunks(

@@ -672,6 +672,29 @@ def test_refused_inject_writes_no_stream(capsys, tmp_path):
     assert not (tmp_path / "out.bin").exists()
 
 
+def test_inject_words_refuses_as_the_cli_does():
+    words = np.full(64, 0x3FF00000, dtype=np.uint64)  # the stream above
+    with pytest.raises(ValueError, match="flipping bit 30 needs a shift"):
+        flip754.inject_words(words, cli._parse_format("20,11"), seed=1, count=100)
+
+
+def test_a_wide_format_inject_reads_its_stream_once(capsys, tmp_path, monkeypatch):
+    # Zeros, infinities and NaNs of 20,11: no error is refused, so the whole
+    # stream of three chunks is written.
+    fmt = cli._parse_format("20,11")
+    top = fmt.exponent_all_ones << fmt.fraction_bits
+    words = np.array([0, top, top | 1] * (fileio.WORD_CHUNK + 5), dtype=np.uint64)
+    stream, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    stream.write_bytes(flip754.words_to_bytes(words, fmt))
+    read, calls = fileio._read_chunks, []
+    monkeypatch.setattr(fileio, "_read_chunks", lambda *a: calls.append(a[1]) or read(*a))
+    doc = run_json(capsys, "inject", "--format", "20,11", "--in", str(stream),
+                   "--out", str(out), "--rate", "1e-5", "--seed", "5")
+    flipped, summary = flip754.inject_words(words, fmt, seed=5, rate=1e-5)
+    assert calls == [words.size] and doc["payload"]["event_count"] == summary.word_index.size > 0
+    assert out.read_bytes() == flip754.words_to_bytes(flipped, fmt)
+
+
 @pytest.mark.parametrize("spec", ["binary64", "20,11", "30,33", "62,1"])
 def test_zero_prints_at_every_width(capsys, spec):
     """Zero is exact whatever the format's scale, down to -0 in 62,1."""

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -319,6 +321,75 @@ def test_inject_file_may_rewrite_its_input(tmp_path):
     direct_out, direct = inject_words(words, BINARY64, seed=3, rate=0.05)
     assert inject_file(path, path, BINARY64, seed=3, rate=0.05) == direct
     assert (read_words(path, BINARY64) == direct_out).all()
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+def test_an_interrupted_inject_file_leaves_every_file_as_it_was(tmp_path, monkeypatch, in_place):
+    # 100,000 words are two chunks; the run stops as the second is written.
+    src, fresh = tmp_path / "in.bin", tmp_path / "out.bin"
+    words = np.random.default_rng(8).integers(0, 1 << 64, size=100_000, dtype=np.uint64)
+    write_words(src, words, BINARY64)
+    data, names = src.read_bytes(), sorted(os.listdir(tmp_path))
+    encode, written = fileio.words_to_bytes, []
+
+    def interrupt_at_the_second_chunk(*args):
+        written.append(args[0].size)
+        if len(written) == 2:
+            raise KeyboardInterrupt
+        return encode(*args)
+
+    monkeypatch.setattr(fileio, "words_to_bytes", interrupt_at_the_second_chunk)
+    with pytest.raises(KeyboardInterrupt):
+        inject_file(src, src if in_place else fresh, BINARY64, seed=4, rate=1e-3)
+    assert written == [fileio.WORD_CHUNK, 100_000 - fileio.WORD_CHUNK]
+    assert src.read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary file, no fresh --out
+
+
+def test_inject_file_writes_a_fifo_out_directly(tmp_path):
+    src, fifo = tmp_path / "in.bin", tmp_path / "pipe"
+    words = np.arange(1, 3000, dtype=np.uint64) << np.uint64(30)
+    write_words(src, words, BINARY64)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    summary = inject_file(src, fifo, BINARY64, seed=6, rate=0.01)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    direct_out, direct = inject_words(words, BINARY64, seed=6, rate=0.01)
+    assert summary == direct and got == [words_to_bytes(direct_out, BINARY64)]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "pipe"]
+
+
+def test_inject_file_writes_through_a_symlinked_out(tmp_path):
+    # One link names an old stream, the other a stream not made yet.
+    src, real = tmp_path / "in.bin", tmp_path / "real"
+    words = np.arange(1, 40, dtype=np.uint64) << np.uint64(50)
+    write_words(src, words, BINARY64)
+    real.mkdir()
+    (real / "old.bin").write_bytes(b"old bytes")
+    direct_out, direct = inject_words(words, BINARY64, seed=2, count=9)
+    for name in ("old.bin", "new.bin"):
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(real / name)
+        assert inject_file(src, link, BINARY64, seed=2, count=9) == direct
+        assert os.readlink(link) == str(real / name)
+        assert read_words(real / name, BINARY64).tolist() == direct_out.tolist()
+    assert sorted(os.listdir(real)) == ["new.bin", "old.bin"]
+
+
+def test_inject_file_keeps_the_mode_of_an_existing_out(tmp_path):
+    src, out, ref = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "ref.bin"
+    write_words(src, np.arange(1, 20, dtype=np.uint64), BINARY64)
+    open(ref, "wb").close()
+    inject_file(src, out, BINARY64, seed=1, count=3)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+    for path, mode in ((out, 0o640), (src, 0o604)):  # an old --out, then in place
+        path.chmod(mode)
+        inject_file(src, path, BINARY64, seed=1, count=3)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_inject_file_validates_the_stream(tmp_path):
