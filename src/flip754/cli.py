@@ -517,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker threads, at most one per CPU and per chunk; "
                         "never affects the counts (default 1)")
-    p.add_argument("--chunk-size", type=_positive_int, default=65536,
+    p.add_argument("--chunk-size", type=_positive_int, default=CampaignConfig.chunk_size,
                    help="sampling chunk size; part of the seeding scheme")
 
     command("census", _cmd_census,

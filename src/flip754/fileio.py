@@ -28,11 +28,13 @@ or is interrupted leaves the input and any old output as they were, and
 the output may name the input.  An output that is not a regular file,
 such as a pipe, is written as the run goes.
 
-The summary keeps the events as four column arrays (word index, bit,
-word before, word after) in application order.  `event_json` writes
-the events list of the `inject` payload straight from them as JSON text,
-`EVENT_CHUNK` events at a time: classes as arrays, and each chunk's
-exact relative errors in one call to `relerr.error_rows`, which computes
+The summary keeps the events in application order as three column
+arrays (word index, bit, word before) and a uint8 class code, 25 bytes
+an event: the code, 4 * class(before) + class(after), is set as the
+event is flipped, and the word after, before ^ 2^bit, where it is read.
+`event_json` writes the events list of the `inject` payload from them
+as JSON text, `EVENT_CHUNK` events at a time, with each chunk's exact
+relative errors from one call to `relerr.error_rows`, which computes
 fraction flips on arrays and every other flip once per position and
 `FlipKernel` case (`rationals` says which decimals come from float64).
 
@@ -145,22 +147,23 @@ class InjectionEvent:
 class InjectionSummary:
     """One injection run: its settings and every event as column arrays.
 
-    Row k of `word_index`, `position`, `before` and `after` is the k-th
-    applied flip; `before` is the word just before it.  Summaries are
-    equal when every field is, the columns element by element.
+    Row k of `word_index`, `position`, `before` and `transition` is the
+    k-th applied flip: `before` is the word just before it, `transition`
+    its `CLASS_ORDER` codes as 4 * class(before) + class(after).  `after`
+    and `mode` are derived.  Summaries are equal when every field is, the
+    columns element by element.
     """
 
     fmt: FpFormat
     endian: str
     word_count: int
-    mode: str  # "rate" or "count"
     seed: int
     rate: float | None
     requested: int | None  # count mode: flips asked for
     word_index: np.ndarray  # int64
     position: np.ndarray  # int64
     before: np.ndarray  # uint64
-    after: np.ndarray  # uint64
+    transition: np.ndarray  # uint8
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InjectionSummary):
@@ -170,6 +173,15 @@ class InjectionSummary:
             if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
                 return False
         return True
+
+    @property
+    def mode(self) -> str:
+        return "rate" if self.rate is not None else "count"
+
+    @property
+    def after(self) -> np.ndarray:
+        """Each event's word after its flip, before ^ 2^position (uint64)."""
+        return self.before ^ _masks(self.position)
 
     @property
     def events(self) -> tuple[InjectionEvent, ...]:
@@ -189,17 +201,8 @@ class InjectionSummary:
 
     def transition_counts(self) -> dict[FpClass, dict[FpClass, int]]:
         k = len(CLASS_ORDER)
-        grid = np.zeros(k * k, dtype=np.int64)
-        for lo in range(0, self.word_index.size, EVENT_CHUNK):
-            src, dst = self._class_codes(slice(lo, lo + EVENT_CHUNK))
-            grid += np.bincount(src * k + dst, minlength=k * k)
-        rows = grid.reshape(k, k).tolist()
+        rows = np.bincount(self.transition, minlength=k * k).reshape(k, k).tolist()
         return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, rows)}
-
-    def _class_codes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """CLASS_ORDER codes of the before- and after-words of some events."""
-        fmt = self.fmt
-        return classify_codes(fmt, self.before[rows]), classify_codes(fmt, self.after[rows])
 
     def header_payload(self) -> dict:
         """`to_payload` without its `events`: the settings, counts and transitions."""
@@ -224,9 +227,9 @@ class InjectionSummary:
 
         nl is a newline and the list's own indent.  One part is yielded
         per `EVENT_CHUNK` events, then the closing one.  This is the one
-        place an event's content and layout are made: each chunk's class
-        codes come from one `_class_codes` call and its errors from one
-        `relerr.error_rows` call, and each event is one f-string.  Every
+        place an event's content and layout are made: each chunk's errors
+        come from one `relerr.error_rows` call, and each event is one
+        f-string, its classes read off its `transition` code.  Every
         event has the same seven keys and its error either `kind` alone
         or four keys, so the f-strings give json's sorted keys and
         indents.  Every string in an event is made of letters, digits and
@@ -234,11 +237,12 @@ class InjectionSummary:
         """
         fmt = self.fmt
         x = f"0{fmt.hex_digits}X"  # a word as fixed-width upper-case hex
-        names = [cls.value for cls in CLASS_ORDER]
         i1 = nl + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
         k, e = "," + i2, "," + i3  # between an event's keys, between its error's keys
+        classes = [f'"class_after": "{b.value}"{k}"class_before": "{a.value}"'
+                   for a in CLASS_ORDER for b in CLASS_ORDER]  # by transition code
 
         def error(err: tuple) -> str:
             if len(err) == 1:
@@ -251,16 +255,14 @@ class InjectionSummary:
 
         for lo in range(0, self.word_index.size, EVENT_CHUNK):
             rows = slice(lo, lo + EVENT_CHUNK)
-            src, dst = self._class_codes(rows)
-            errors = error_rows(fmt, self.before[rows], self.position[rows], digits)
+            before, position = self.before[rows], self.position[rows]
             yield ("," if lo else "[") + i1 + ("," + i1).join(
                 f'{{{i2}"after": "0x{a:{x}}"{k}"before": "0x{b:{x}}"{k}"bit": {p}'
-                f'{k}"class_after": "{names[ca]}"{k}"class_before": "{names[cb]}"'
-                f'{k}"error": {error(err)}{k}"word_index": {i}{i1}}}'
-                for i, p, b, a, cb, ca, err in zip(
-                    self.word_index[rows].tolist(), self.position[rows].tolist(),
-                    self.before[rows].tolist(), self.after[rows].tolist(),
-                    src.tolist(), dst.tolist(), errors,
+                f'{k}{classes[c]}{k}"error": {error(err)}{k}"word_index": {i}{i1}}}'
+                for i, p, b, a, c, err in zip(
+                    self.word_index[rows].tolist(), position.tolist(), before.tolist(),
+                    (before ^ _masks(position)).tolist(), self.transition[rows].tolist(),
+                    error_rows(fmt, before, position, digits),
                 )
             )
         yield nl + "]" if self.word_index.size else "[]"
@@ -269,6 +271,10 @@ class InjectionSummary:
         """The `inject` payload as one dict: the CLI's events text, read back."""
         events = json.loads("".join(self.event_json(digits, "\n")))
         return {**self.header_payload(), "events": events}
+
+
+def _masks(position: np.ndarray) -> np.ndarray:  # the flip masks 2^position, as uint64
+    return np.left_shift(np.uint64(1), position.astype(np.uint64))
 
 
 def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:
@@ -298,8 +304,8 @@ def _draw(
 ) -> InjectionSummary:
     """Draw every event of a run over `n_words` words.
 
-    The summary's `before` and `after` columns are left unfilled, for
-    `_flip_chunks` to fill while it applies the events.
+    The summary's `before` and `transition` columns are left unfilled,
+    for `_flip_chunks` to fill while it applies the events.
     """
     if (rate is None) == (count is None):
         raise ValueError("give exactly one of rate and count")
@@ -315,7 +321,6 @@ def _draw(
             k = int(rng.binomial(n_words * w, rate))
             sites = _distinct_sites(rng, n_words * w, k)
         idx, bit = np.divmod(sites, w)
-        mode = "rate"
     else:
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -323,20 +328,18 @@ def _draw(
             raise ValueError("cannot inject into an empty stream")
         idx = rng.integers(0, max(n_words, 1), size=count, dtype=np.int64)
         bit = rng.integers(0, w, size=count, dtype=np.int64)
-        mode = "count"
 
     return InjectionSummary(
         fmt=fmt,
         endian=endian,
         word_count=n_words,
-        mode=mode,
         seed=seed,
         rate=rate,
         requested=count,
         word_index=idx,
         position=bit,
         before=np.empty(idx.size, dtype=np.uint64),
-        after=np.empty(idx.size, dtype=np.uint64),
+        transition=np.empty(idx.size, dtype=np.uint8),
     )
 
 
@@ -346,14 +349,13 @@ def _flip_chunks(
     """Apply the summary's events to a stream read as consecutive word chunks.
 
     Yields each chunk once its events are XORed into it in place, and
-    fills the summary's `before` and `after` columns.  Events are in
+    fills the summary's `before` and `transition` columns.  Events are in
     application order; within one word, the word an event saw is the
     chunk's word XOR the masks of that word's earlier events.  An event
     whose exact error needs a shift past `MAX_EXACT_BITS` raises
     ValueError before its chunk is yielded.
     """
-    idx = summary.word_index
-    masks = np.left_shift(np.uint64(1), summary.position.astype(np.uint64))
+    fmt, idx = summary.fmt, summary.word_index
     order = np.argsort(idx, kind="stable")  # each word's events, in order
     word = idx[order]
     lo = start = 0
@@ -361,15 +363,16 @@ def _flip_chunks(
         stop = start + chunk.size
         hi = int(np.searchsorted(word, stop))
         rows = order[lo:hi]
-        here, m = word[lo:hi] - start, masks[rows]
+        here, m = word[lo:hi] - start, _masks(summary.position[rows])
         prefix = np.bitwise_xor.accumulate(m) ^ m  # exclusive XOR prefix
         first = np.searchsorted(here, here)  # where each word's group starts
         before = chunk[here] ^ prefix ^ prefix[first]
         summary.before[rows] = before
-        summary.after[rows] = before ^ m
-        if 1 << (summary.fmt.exponent_bits - 1) > MAX_EXACT_BITS:
+        code = classify_codes(fmt, before) * len(CLASS_ORDER)
+        summary.transition[rows] = code + classify_codes(fmt, before ^ m)
+        if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
             for b, p in zip(before.tolist(), summary.position[rows].tolist()):
-                error_ratio(summary.fmt, b, p)
+                error_ratio(fmt, b, p)
         np.bitwise_xor.at(chunk, here, m)
         yield chunk
         lo, start = hi, stop
@@ -417,8 +420,11 @@ def inject_file(
     a temporary file in its directory, with the old file's permission
     bits, and renamed over it after the last chunk; on any exception the
     temporary file is deleted.  So `out_path` may name the input, and a
-    run that stops part way changes no file.  Any other `out_path`, such
-    as a pipe, is written directly.
+    run that stops part way changes no file.  The temporary file is named
+    `<out>.<pid>.<random token>.part`, so no file an earlier run left
+    blocks this one; a run killed by SIGKILL leaves its `.part` file,
+    which no later run removes.  Any other `out_path`, such as a pipe, is
+    written directly.
     """
     nb = _layout(fmt, endian)[0]
     with open(in_path, "rb") as src:
@@ -431,7 +437,7 @@ def inject_file(
         chunks = _read_chunks(src, summary.word_count, fmt, endian)
         out = os.path.realpath(out_path)
         direct = os.path.exists(out) and not os.path.isfile(out)  # a pipe or a device
-        part = out if direct else f"{out}.{os.getpid()}.part"
+        part = out if direct else f"{out}.{os.getpid()}.{os.urandom(8).hex()}.part"
         dst = open(part, "wb" if direct else "xb")
         try:
             with dst:

@@ -276,10 +276,15 @@ def decode_value(w: Word) -> ExactValue:
     )
 
 
-def locus_of_bit(fmt: FpFormat, pos: int) -> FieldLocus:
-    """Map an absolute bit position (0 = LSB) to its field locus."""
+def _check_position(fmt: FpFormat, pos: int) -> None:
+    """Raise ValueError unless `pos` is a bit position of a word of `fmt`."""
     if not 0 <= pos < fmt.total_bits:
         raise ValueError(f"bit position {pos} outside [0, {fmt.total_bits})")
+
+
+def locus_of_bit(fmt: FpFormat, pos: int) -> FieldLocus:
+    """Map an absolute bit position (0 = LSB) to its field locus."""
+    _check_position(fmt, pos)
     if pos == fmt.total_bits - 1:
         return FieldLocus.sign()
     if pos >= fmt.fraction_bits:
@@ -317,8 +322,7 @@ class TransitionRecord:
 
 def flip_bit(w: Word, pos: int) -> Word:
     """Toggle exactly one bit.  Involution: flipping twice restores the word."""
-    if not 0 <= pos < w.fmt.total_bits:
-        raise ValueError(f"bit position {pos} outside [0, {w.fmt.total_bits})")
+    _check_position(w.fmt, pos)
     return Word(w.bits ^ (1 << pos), w.fmt)
 
 

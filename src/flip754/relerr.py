@@ -43,7 +43,7 @@ from itertools import repeat
 import numpy as np
 
 from ._vector import BATCH, Case, FlipKernel, as_words, msb_index
-from .formats import FpFormat, Word
+from .formats import FpFormat, Word, _check_position, decode_fields
 from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, ratio_text
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
@@ -106,14 +106,13 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
     once both significands are shifted to the smaller exponent.  An
     exponent flip whose shift passes `MAX_EXACT_BITS` raises ValueError.
     """
-    total, w_f, top = fmt.total_bits, fmt.fraction_bits, fmt.exponent_all_ones
-    if not 0 <= pos < total:
-        raise ValueError(f"bit position {pos} outside [0, {total})")
+    _check_position(fmt, pos)
+    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
     hidden = 1 << w_f
     e, f = (bits >> w_f) & top, bits & (hidden - 1)
     if e == top or (e == 0 and f == 0):
         return ErrorKind.UNDEFINED, 0, 0
-    if pos == total - 1:  # x' = -x, so |x - x'| = 2|x|
+    if pos == fmt.total_bits - 1:  # x' = -x, so |x - x'| = 2|x|
         return ErrorKind.FINITE, 2, 1
     # Normalized significands carry the hidden bit; denormals scale as e = 1.
     m = f | hidden if e else f
@@ -281,7 +280,7 @@ def check_bounds(w: Word, pos: int) -> BoundsCheck:
         )
 
     w_f = fmt.fraction_bits
-    e, f = (w.bits >> w_f) & fmt.exponent_all_ones, w.bits & fmt.fraction_mask
+    _, e, f = decode_fields(w)
     if pos == fmt.total_bits - 1:
         iv = ErrorInterval.point(Fraction(2))
     elif pos < w_f:

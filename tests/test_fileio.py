@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import os
 import stat
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +125,47 @@ def test_count_mode_records_a_consistent_event_chain():
         n for row in summary.transition_counts().values() for n in row.values()
     )
     assert total == 12
+
+
+def test_transition_counts_tally_each_event_once(tmp_path, monkeypatch):
+    # Repeated sites over every class of binary16, cut into several word
+    # and event chunks: the class codes set where each event is flipped
+    # tally to the classes of its own before- and after-words.
+    monkeypatch.setattr(fileio, "WORD_CHUNK", 5)
+    monkeypatch.setattr(fileio, "EVENT_CHUNK", 7)
+    words = np.array([0x0000, 0x0001, 0x03FF, 0x3C00, 0x7BFF, 0x7C00, 0x7E00, 0xFC01] * 3,
+                     dtype=np.uint64)
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    write_words(src, words, BINARY16)
+    summary = inject_file(src, dst, BINARY16, seed=9, count=400)
+    sites = [(ev.word_index, ev.position) for ev in summary.events]
+    assert len(set(sites)) < len(sites)
+    expected = collections.Counter(
+        (classify(ev.before), classify(ev.after)) for ev in summary.events
+    )
+    counts = summary.transition_counts()
+    assert {(a, b): n for a, row in counts.items() for b, n in row.items() if n} == expected
+    assert len(expected) > 4
+    masks = np.left_shift(np.uint64(1), summary.position.astype(np.uint64))
+    assert np.array_equal(summary.after, summary.before ^ masks)
+    for ev_obj, ev in zip(summary.to_payload()["events"], summary.events):
+        assert ev_obj["class_before"] == classify(ev.before).value
+        assert ev_obj["class_after"] == classify(ev.after).value
+        assert ev_obj["after"] == ev.after.hex()
+
+
+def test_a_summary_keeps_at_most_28_bytes_an_event():
+    # 200,000 count-mode events: three 8-byte columns and a 1-byte class
+    # code are 25 bytes an event, beside the 800 kB output array.
+    words = np.random.default_rng(11).integers(0, 1 << 64, size=100_000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        out, summary = inject_words(words, BINARY64, seed=1, count=200_000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert summary.word_index.size == 200_000
+    assert held <= 28 * 200_000 + out.nbytes, held
 
 
 def test_count_mode_draws_sites_with_replacement():
@@ -344,6 +387,22 @@ def test_an_interrupted_inject_file_leaves_every_file_as_it_was(tmp_path, monkey
     assert written == [fileio.WORD_CHUNK, 100_000 - fileio.WORD_CHUNK]
     assert src.read_bytes() == data
     assert sorted(os.listdir(tmp_path)) == names  # no temporary file, no fresh --out
+
+
+def test_inject_file_passes_a_part_file_left_by_an_earlier_run(tmp_path):
+    # A run killed outright leaves its temporary file; a later run that
+    # gets the same pid must neither trip on it nor remove it.
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    words = np.arange(1, 30, dtype=np.uint64) << np.uint64(45)
+    write_words(src, words, BINARY64)
+    leftover = tmp_path / f"out.bin.{os.getpid()}.part"
+    leftover.write_bytes(b"left by a killed run")
+    names = sorted(os.listdir(tmp_path))
+    direct_out, direct = inject_words(words, BINARY64, seed=5, count=7)
+    assert inject_file(src, dst, BINARY64, seed=5, count=7) == direct
+    assert read_words(dst, BINARY64).tolist() == direct_out.tolist()
+    assert leftover.read_bytes() == b"left by a killed run"
+    assert sorted(os.listdir(tmp_path)) == sorted(names + ["out.bin"])
 
 
 def test_inject_file_writes_a_fifo_out_directly(tmp_path):

@@ -35,6 +35,7 @@ from flip754 import (
     classify,
     exhaustive_census,
     flip_bit,
+    locus_of_bit,
     recompose,
     relative_error,
     word_from_float,
@@ -95,9 +96,19 @@ def test_relative_error_matches_fraction_oracle_on_binary64(bits, pos):
 
 
 def test_relative_error_rejects_positions_outside_the_word():
-    for pos in (-1, 64):
-        with pytest.raises(ValueError):
-            relative_error(word_from_float(1.0), pos)
+    # every scalar entry point that takes a position refuses it alike
+    for fmt in (BINARY16, FpFormat(2, 1)):
+        w = recompose(fmt, 0, 1, 0)
+        for pos in (-1, fmt.total_bits):
+            message = rf"^bit position {pos} outside \[0, {fmt.total_bits}\)$"
+            for refuse in (
+                lambda: relative_error(w, pos),
+                lambda: flip_bit(w, pos),
+                lambda: locus_of_bit(fmt, pos),
+                lambda: error_ratio(fmt, w.bits, pos),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    refuse()
 
 
 def test_relative_error_known_cases():
