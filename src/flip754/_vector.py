@@ -4,6 +4,8 @@ Everything here works on unsigned arrays of raw words and stays exact:
 field splits, flips and `msb_index` are pure bit arithmetic, with no
 float64 step.  The scalar routines in `formats` remain the reference
 semantics; these kernels are checked against them in the test suite.
+The class vocabulary (`CLASS_ORDER`, `CLASS_CODE` and the class-pair
+code) lives in `formats`; `_class_codes` is its one array encoder.
 
 The flip kernel runs in the narrowest lane that holds a word,
 `lane_dtype`: uint32 for a format of at most 32 bits, else uint64.  Every
@@ -59,16 +61,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .formats import FpClass, FpFormat, Word, _class_fields
-
-# Fixed class order shared by transition matrices, reports, and tallies.
-CLASS_ORDER: tuple[FpClass, ...] = (
-    FpClass.NORMALIZED,
-    FpClass.DENORMALIZED,
-    FpClass.NAN,
-    FpClass.INF,
-)
-CLASS_CODE: dict[FpClass, int] = {cls: i for i, cls in enumerate(CLASS_ORDER)}
+from .formats import CLASS_CODE, FpClass, FpFormat, Word, _class_fields
 
 _U1 = np.uint64(1)
 
@@ -167,7 +160,7 @@ def split_fields(
 
 
 def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
-    """Class code per word, indexing into CLASS_ORDER."""
+    """`formats.CLASS_CODE` of each word."""
     e, f = split_fields(fmt, bits)
     return _class_codes(fmt, e, f)
 
@@ -175,8 +168,8 @@ def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
 def _class_codes(
     fmt: FpFormat, e: np.ndarray, f: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    # CLASS_ORDER codes: 0 normalized, 1 denormal, 2 NaN, 3 infinity, as
-    # den + top * (2 + (f == 0)), in `out` (uint8) when given
+    # `formats.CLASS_CODE`s, 0 normalized, 1 denormal, 2 NaN, 3 infinity,
+    # as den + top * (2 + (f == 0)), in `out` (uint8) when given
     code = np.equal(f, 0, out=None if out is None else out.view(np.bool_)).view(np.uint8)
     code += np.uint8(2)
     code *= (e == fmt.exponent_all_ones).view(np.uint8)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from ._vector import CLASS_ORDER
-from .formats import FpClass, FpFormat
+from .formats import CLASS_ORDER, FpClass, FpFormat
 from .rationals import floor_log2, ratio_str
 
 __all__ = [

@@ -26,7 +26,6 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from ._vector import CLASS_ORDER
 from .analytic import (
     BucketConvention,
     ToleranceResolutionError,
@@ -39,10 +38,12 @@ from .analytic import (
 from .fileio import inject_file
 from .formats import (
     _STANDARD,
+    CLASS_ORDER,
     FpClass,
     FpFormat,
     ValueKind,
     Word,
+    class_table,
     classify,
     decode_fields,
     decode_value,
@@ -324,10 +325,7 @@ def _cmd_flip(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 def _cmd_table(fmt: FpFormat, args: argparse.Namespace) -> int:
     m = transition_matrix(fmt)
-    matrix = {
-        src.value: {dst.value: m.entry(src, dst) for dst in CLASS_ORDER}
-        for src in CLASS_ORDER
-    }
+    matrix = class_table(m.entry)
     rows = [(src, dst, q) for src, row in matrix.items() for dst, q in row.items()]
     payload = {"classes": [c.value for c in CLASS_ORDER], "matrix": matrix}
     return _tabulate(fmt, args, ["from", "to", "ratio", "decimal"], rows, payload)
@@ -435,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits",
         type=_positive_int,
         default=5,
-        help="significant digits for decimal rendering (default 5)",
+        help="significant digits for decimal rendering (default 5); sample and "
+        "census print no decimals, so it changes nothing there",
     )
     word = option("value", help="hex word (0x...), rational, decimal, inf, or nan")
     csv_ = option("--csv", action="store_true", help="CSV instead of JSON")

@@ -16,11 +16,11 @@ alone.  The stream is then read, flipped and written `WORD_CHUNK` words
 at a time: a stable sort by word index groups each word's flips in event
 order, `searchsorted` cuts the groups at chunk edges, an XOR prefix over
 a chunk's masks gives the word every event saw, and
-`np.bitwise_xor.at` flips the chunk.  `inject_words` on an array is the
-one-chunk case of the same loop.  On formats whose exponent flips can
-pass `MAX_EXACT_BITS`, each chunk's events are checked by
-`relerr.error_ratio` before the chunk is passed on, so a run refuses
-what `event_json` could not render.
+`np.bitwise_xor.at` flips the chunk.  `inject_words` runs the same loop
+over `WORD_CHUNK`-word views of its copy of the array, so either way the
+flip temporaries span one chunk's events.  Each chunk's events are
+checked by `relerr.check_exact` before the chunk is passed on, so a run
+refuses what `event_json` could not render.
 
 `inject_file` writes its output to a temporary file beside it and
 renames that over the output after the last chunk, so a run that fails
@@ -29,8 +29,8 @@ the output may name the input.  An output that is not a regular file,
 such as a pipe, is written as the run goes.
 
 The summary keeps the events in application order as three column
-arrays (word index, bit, word before) and a uint8 class code, 25 bytes
-an event: the code, 4 * class(before) + class(after), is set as the
+arrays (word index, bit, word before) and a uint8 class-pair code
+(`formats.pair_code`), 25 bytes an event: the code is set as the
 event is flipped, and the word after, before ^ 2^bit, where it is read.
 `event_json` writes the events list of the `inject` payload from them
 as JSON text, `EVENT_CHUNK` events at a time, with each chunk's exact
@@ -56,10 +56,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._vector import CLASS_ORDER, as_words, classify_codes
-from .formats import FpClass, FpFormat, Word
-from .rationals import MAX_EXACT_BITS
-from .relerr import error_ratio, error_rows
+from ._vector import as_words, classify_codes
+from .formats import CLASS_ORDER, CLASS_PAIRS, FpClass, FpFormat, Word, class_table, pair_code
+from .relerr import check_exact, error_rows
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from .formats import classify  # noqa: F401
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 INJECT_SCHEMA = "flip754/inject-v1"
-WORD_CHUNK = 1 << 16  # words `inject_file` reads, flips and writes at a time
+WORD_CHUNK = 1 << 16  # words an injection reads, flips and writes at a time
 EVENT_CHUNK = 4096  # events `InjectionSummary.event_json` renders at a time
 
 
@@ -149,7 +148,7 @@ class InjectionSummary:
 
     Row k of `word_index`, `position`, `before` and `transition` is the
     k-th applied flip: `before` is the word just before it, `transition`
-    its `CLASS_ORDER` codes as 4 * class(before) + class(after).  `after`
+    the `formats.pair_code` of its classes before and after.  `after`
     and `mode` are derived.  Summaries are equal when every field is, the
     columns element by element.
     """
@@ -200,12 +199,13 @@ class InjectionSummary:
         return self.word_count * self.fmt.total_bits
 
     def transition_counts(self) -> dict[FpClass, dict[FpClass, int]]:
-        k = len(CLASS_ORDER)
-        rows = np.bincount(self.transition, minlength=k * k).reshape(k, k).tolist()
-        return {a: dict(zip(CLASS_ORDER, row)) for a, row in zip(CLASS_ORDER, rows)}
+        n = np.bincount(self.transition, minlength=len(CLASS_PAIRS)).tolist()
+        pairs = dict(zip(CLASS_PAIRS, n))
+        return {a: {b: pairs[a, b] for b in CLASS_ORDER} for a in CLASS_ORDER}
 
     def header_payload(self) -> dict:
         """`to_payload` without its `events`: the settings, counts and transitions."""
+        counts = self.transition_counts()
         return {
             "schema": INJECT_SCHEMA,
             "mode": self.mode,
@@ -216,10 +216,7 @@ class InjectionSummary:
             "word_count": self.word_count,
             "site_count": self.site_count,
             "event_count": int(self.word_index.size),
-            "transitions": {
-                a.value: {b.value: n for b, n in row.items()}
-                for a, row in self.transition_counts().items()
-            },
+            "transitions": class_table(lambda a, b: counts[a][b]),
         }
 
     def event_json(self, digits: int, nl: str) -> Iterator[str]:
@@ -242,7 +239,7 @@ class InjectionSummary:
         i3 = i2 + "  "
         k, e = "," + i2, "," + i3  # between an event's keys, between its error's keys
         classes = [f'"class_after": "{b.value}"{k}"class_before": "{a.value}"'
-                   for a in CLASS_ORDER for b in CLASS_ORDER]  # by transition code
+                   for a, b in CLASS_PAIRS]  # by transition code
 
         def error(err: tuple) -> str:
             if len(err) == 1:
@@ -352,7 +349,7 @@ def _flip_chunks(
     fills the summary's `before` and `transition` columns.  Events are in
     application order; within one word, the word an event saw is the
     chunk's word XOR the masks of that word's earlier events.  An event
-    whose exact error needs a shift past `MAX_EXACT_BITS` raises
+    whose exact error is past `relerr.check_exact`'s limit raises
     ValueError before its chunk is yielded.
     """
     fmt, idx = summary.fmt, summary.word_index
@@ -368,11 +365,9 @@ def _flip_chunks(
         first = np.searchsorted(here, here)  # where each word's group starts
         before = chunk[here] ^ prefix ^ prefix[first]
         summary.before[rows] = before
-        code = classify_codes(fmt, before) * len(CLASS_ORDER)
-        summary.transition[rows] = code + classify_codes(fmt, before ^ m)
-        if 1 << (fmt.exponent_bits - 1) > MAX_EXACT_BITS:
-            for b, p in zip(before.tolist(), summary.position[rows].tolist()):
-                error_ratio(fmt, b, p)
+        src = classify_codes(fmt, before)
+        summary.transition[rows] = pair_code(src, classify_codes(fmt, before ^ m))
+        check_exact(fmt, before, summary.position[rows])
         np.bitwise_xor.at(chunk, here, m)
         yield chunk
         lo, start = hi, stop
@@ -396,7 +391,9 @@ def inject_words(
     """
     out = np.array(as_words(fmt, words), copy=True)
     summary = _draw(fmt, endian, int(out.size), seed=seed, rate=rate, count=count)
-    (out,) = _flip_chunks([out], summary)
+    chunks = (out[i : i + WORD_CHUNK] for i in range(0, out.size, WORD_CHUNK))
+    for _ in _flip_chunks(chunks, summary):  # each view is flipped in place
+        pass
     return out, summary
 
 

@@ -10,6 +10,7 @@ that closed-form results can be checked by exhaustive enumeration.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,12 +127,35 @@ class Word:
 
 
 class FpClass(Enum):
-    """Word class.  +-0 counts as denormalized (zero fraction, zero exponent)."""
+    """Word class.  +-0 counts as denormalized (zero fraction, zero exponent).
+    The declaration order is the class order, `CLASS_ORDER`."""
 
     NORMALIZED = "normalized"
     DENORMALIZED = "denormalized"
     NAN = "nan"
     INF = "inf"
+
+
+# ── Class vocabulary ─────────────────────────────────────────────
+
+# The class order of every transition table, tally and report, and each
+# class's code, its index there.
+CLASS_ORDER: tuple[FpClass, ...] = tuple(FpClass)
+CLASS_CODE: dict[FpClass, int] = {cls: i for i, cls in enumerate(CLASS_ORDER)}
+# Every (source, destination) class pair, at the index `pair_code` gives it.
+CLASS_PAIRS = tuple((a, b) for a in CLASS_ORDER for b in CLASS_ORDER)
+
+
+def pair_code(src, dst):
+    """Index in `CLASS_PAIRS` of the pair of class codes (src, dst); operators
+    only, so the codes may be ints or uint8 arrays alike."""
+    return src * len(CLASS_ORDER) + dst
+
+
+def class_table(cell: Callable[[FpClass, FpClass], object]) -> dict[str, dict[str, object]]:
+    """{source: {destination: cell(source, destination)}}, keyed by class
+    values in `CLASS_ORDER`: the form every transition table is printed in."""
+    return {a.value: {b.value: cell(a, b) for b in CLASS_ORDER} for a in CLASS_ORDER}
 
 
 class Field(Enum):

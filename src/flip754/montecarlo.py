@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._vector import CLASS_CODE, CLASS_ORDER, Case, FlipKernel
+from ._vector import Case, FlipKernel
 from ._vector import enumerate_class, outcome_key, sample_class_bits
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
@@ -49,7 +49,8 @@ from .analytic import (
     cdf_dyadic,
     interval_probabilities,
 )
-from .formats import FpClass, FpFormat, class_size
+from .formats import CLASS_CODE, CLASS_ORDER, CLASS_PAIRS, FpClass, FpFormat
+from .formats import class_size, class_table, pair_code
 from .rationals import ratio_str
 
 __all__ = [
@@ -117,17 +118,17 @@ class _MutableTally:
 
     def __init__(self, fmt: FpFormat) -> None:
         self.fmt = fmt
-        self.counts = np.zeros((16, Case.COUNT, fmt.total_bits), dtype=np.int64)
+        self.counts = np.zeros((len(CLASS_PAIRS), Case.COUNT, fmt.total_bits), dtype=np.int64)
         self._cells = np.empty(0, dtype=np.intp)  # `add`'s flat indices, one per lane
 
     def cases(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Label and pair case of the flip of `pos` in every word of the
-        kernel's batch.  The pair case, (source class * 4 + destination
-        class) * Case.COUNT + label, indexes the first two axes of `counts`
-        flattened; it is below 16 * 13 = 208, so a uint8."""
+        kernel's batch.  The pair case, `pair_code` of the source and
+        destination classes times Case.COUNT plus the label, indexes the
+        first two axes of `counts` flattened; it is below
+        len(CLASS_PAIRS) * Case.COUNT = 208, so a uint8."""
         label = kernel.label(pos)
-        pair = kernel.codes * np.uint8(4)
-        pair += kernel.dst(pos)
+        pair = pair_code(kernel.codes, kernel.dst(pos))
         pair *= np.uint8(Case.COUNT)
         pair += label
         return label, pair
@@ -180,11 +181,9 @@ class _MutableTally:
         dyadic[1] += cases[Case.EXP_HALF].sum()
         # normalized fraction entry k = w_f - pos: the largest level is exactly k
         dyadic[1:] += cases[Case.NORM_FRAC, w_f - 1 :: -1]
+        pairs = dict(zip(CLASS_PAIRS, self.counts.sum(axis=(1, 2)).tolist()))
         return FlipTally(
-            transitions=tuple(
-                tuple(int(c) for c in row)
-                for row in self.counts.sum(axis=(1, 2)).reshape(4, 4)
-            ),
+            transitions=tuple(tuple(pairs[a, b] for b in CLASS_ORDER) for a in CLASS_ORDER),
             buckets=tuple(int(c) for c in buckets),
             dyadic=tuple(int(c) for c in dyadic),
         )
@@ -530,12 +529,7 @@ def compare(
 
 def _tally_payload(tally: FlipTally, convention: BucketConvention) -> dict:
     return {
-        "transitions": {
-            src.value: {
-                dst.value: tally.transition(src, dst) for dst in CLASS_ORDER
-            }
-            for src in CLASS_ORDER
-        },
+        "transitions": class_table(tally.transition),
         "buckets": tally.bucket_view(convention),
         "undefined": tally.buckets[_UNDEFINED],
         "dyadic_counts": list(tally.dyadic),

@@ -50,7 +50,7 @@ from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, 
 from ._vector import classify_codes, flip_bits, split_fields  # noqa: F401
 from .formats import decode_value, flip_bit  # noqa: F401
 
-# Unexported: error_ratio/values/rows/payload are integer cores for sibling modules.
+# Unexported: error_ratio/values/rows/payload and check_exact serve sibling modules.
 __all__ = [
     "ErrorKind",
     "RelativeError",
@@ -135,6 +135,17 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
         diff = abs(m - m2)
     g = math.gcd(diff, m)
     return ErrorKind.FINITE, diff // g, m // g
+
+
+def check_exact(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray) -> None:
+    """Raise `error_ratio`'s ValueError for the first flip of bit pos[i] of
+    bits[i] whose exact error is past `MAX_EXACT_BITS`.  Only an exponent
+    step 2^(pos - w_f) above the limit can be, so only the lanes from
+    w_f + MAX_EXACT_BITS.bit_length() to below the sign bit are checked."""
+    p = np.asarray(pos)
+    far = (p >= fmt.fraction_bits + MAX_EXACT_BITS.bit_length()) & (p < fmt.total_bits - 1)
+    for i in np.flatnonzero(far).tolist():
+        error_ratio(fmt, int(bits[i]), int(p[i]))
 
 
 ERROR_KEYS = ("kind", "ratio", "decimal", "log2")

@@ -1001,6 +1001,15 @@ def test_digits_option_changes_rendering(capsys):
     assert five["ratio"] == ge_one["ratio"]
 
 
+@pytest.mark.parametrize("argv", [("census", "--format", "3,2"),
+                                  ("sample", "--format", "3,2", "--n", "1000")])
+def test_digits_option_changes_nothing_without_decimals(capsys, argv):
+    # ratios and z scores only, as the option's help and the README say
+    code, out, _ = run_cli(capsys, *argv, "--digits", "3")
+    assert (code, out) == run_cli(capsys, *argv, "--digits", "12")[:2]
+    assert "decimal" not in out
+
+
 def test_sample_output_is_deterministic(capsys):
     argv = ("sample", "--n", "20000", "--seed", "5")
     _, first, _ = run_cli(capsys, *argv)

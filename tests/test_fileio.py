@@ -30,7 +30,7 @@ from flip754 import (
     words_to_bytes,
     write_words,
 )
-from flip754 import fileio
+from flip754 import fileio, relerr
 from flip754.fileio import _distinct_sites
 
 THREE_BYTE = FpFormat(6, 17)  # 24-bit words
@@ -166,6 +166,23 @@ def test_a_summary_keeps_at_most_28_bytes_an_event():
         tracemalloc.stop()
     assert summary.word_index.size == 200_000
     assert held <= 28 * 200_000 + out.nbytes, held
+
+
+def test_inject_words_bounds_its_flip_temporaries_by_the_word_chunk(monkeypatch):
+    # The same 200,000 events over 4,096-word chunks: the masks, XOR
+    # prefix and class codes span about 8,200 events at a time, so the
+    # peak passes what the run keeps by far less than the 16.6 MB that
+    # flipping the whole array as one chunk takes.
+    monkeypatch.setattr(fileio, "WORD_CHUNK", 4096)
+    words = np.random.default_rng(11).integers(0, 1 << 64, size=100_000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        out, summary = inject_words(words, BINARY64, seed=1, count=200_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.word_index.size == 200_000
+    assert peak - kept <= 5_000_000, (peak, kept)
 
 
 def test_count_mode_draws_sites_with_replacement():
@@ -313,6 +330,19 @@ def test_inject_words_refuses_an_over_wide_word():
         inject_words([0x12345], BINARY16, seed=1, count=1)
 
 
+def test_the_exact_limit_is_checked_only_where_a_flip_can_pass_it(monkeypatch):
+    # In 20,11 only exponent flips at positions 28-30 have a step past
+    # 2^16.  The scalar check is recorded, not run, so nothing is refused.
+    fmt = FpFormat(20, 11)
+    words = np.random.default_rng(5).integers(0, 1 << 32, size=200, dtype=np.uint64)
+    checked = []
+    monkeypatch.setattr(relerr, "error_ratio", lambda f, b, p: checked.append(p))
+    _, summary = inject_words(words, fmt, seed=2, count=2000)
+    position = summary.position.tolist()
+    assert set(position) == set(range(32))
+    assert sorted(checked) == sorted(p for p in position if 28 <= p <= 30)
+
+
 def test_words_to_bytes_refuses_an_over_wide_word(tmp_path):
     # it would be written as b"E#", dropping bit 16
     with pytest.raises(ValueError, match="bit pattern 0x12345 does not fit in 16 bits"):
@@ -342,17 +372,20 @@ def test_inject_file_matches_in_memory_run(tmp_path):
 @pytest.mark.parametrize("mode", ["rate", "count"])
 def test_inject_file_streams_chunks_like_one_array(tmp_path, monkeypatch, chunk, n_words, mode):
     # Several chunks of binary16 words, with events on both words at some
-    # chunk edge: the file run equals the run on the whole array.
-    monkeypatch.setattr(fileio, "WORD_CHUNK", chunk)
+    # chunk edge: the file run and the array run at that chunk size equal
+    # the array run in fewer chunks (one, except at the default size).
     fmt = FpFormat(5, 10)
     words = np.random.default_rng(n_words).integers(0, 1 << 16, size=n_words, dtype=np.uint64)
     draw = {"rate": 0.2} if mode == "rate" else {"count": 2 * n_words}
+    direct_out, direct = inject_words(words, fmt, seed=21, endian="big", **draw)
+    monkeypatch.setattr(fileio, "WORD_CHUNK", chunk)
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
     write_words(src, words, fmt, "big")
     summary = inject_file(src, dst, fmt, seed=21, endian="big", **draw)
-    direct_out, direct = inject_words(words, fmt, seed=21, endian="big", **draw)
     assert summary == direct
     assert dst.read_bytes() == words_to_bytes(direct_out, fmt, "big")
+    chunked_out, chunked = inject_words(words, fmt, seed=21, endian="big", **draw)
+    assert chunked == direct and np.array_equal(chunked_out, direct_out)
     hit = set(summary.word_index.tolist())
     assert any(e - 1 in hit and e in hit for e in range(chunk, n_words, chunk))
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flip754 import BINARY16, BINARY32, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify
 from flip754 import flip_bit
+from flip754.formats import CLASS_ORDER, CLASS_PAIRS, _class_fields, pair_code
 from flip754 import _vector
 from flip754._vector import (
     BATCH,
@@ -120,6 +121,27 @@ def _label_misses(fmt: FpFormat) -> list[tuple[str, int, int]]:
             if not _case_holds(case, Word(bits, fmt), pos)
         ]
     return misses
+
+
+@pytest.mark.parametrize("fmt", [FpFormat(2, 1), BINARY16, BINARY64])
+def test_class_pair_codes_decode_to_their_pair(fmt):
+    # Each class's lowest and highest word (positive, then negative) gets
+    # its class code from the array encoder; every pair of such codes, as
+    # ints and as uint8 arrays, decodes back to its pair of classes.
+    assert CLASS_ORDER == tuple(FpClass)
+    codes = {}
+    for cls in CLASS_ORDER:
+        e0, n_e, f0, n_f = _class_fields(fmt, cls)
+        ends = [(e0 << fmt.fraction_bits) | f0,
+                1 << fmt.total_bits - 1 | (e0 + n_e - 1) << fmt.fraction_bits | f0 + n_f - 1]
+        words = np.array(ends, dtype=lane_dtype(fmt))
+        codes[cls] = _vector._class_codes(fmt, *split_fields(fmt, words))
+        assert [classify(Word(int(w), fmt)) for w in words] == [cls, cls]
+    for src, dst in CLASS_PAIRS:
+        pair = pair_code(codes[src], codes[dst][::-1])
+        assert pair.dtype == np.uint8
+        assert [CLASS_PAIRS[c] for c in pair.tolist()] == [(src, dst)] * 2
+        assert CLASS_PAIRS[pair_code(int(codes[src][0]), int(codes[dst][1]))] == (src, dst)
 
 
 def test_case_codes_that_the_label_sums_rest_on():
