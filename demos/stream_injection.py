@@ -39,10 +39,7 @@ for ev in summary.events:
 
 # The summary also aggregates class transitions over all events.
 moves = summary.transition_counts()
-flat = {
-    f"{a.value}->{b.value}": n
-    for a, row in moves.items() for b, n in row.items() if n
-}
+flat = {f"{a.value}->{b.value}": n for (a, b), n in moves.items() if n}
 print(f"  transitions: {flat}")
 
 # ── rate mode: every bit site flips independently ─────────────────────────

@@ -57,7 +57,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ._vector import as_words, classify_codes
-from .formats import CLASS_ORDER, CLASS_PAIRS, FpClass, FpFormat, Word, class_table, pair_code
+from .formats import CLASS_PAIRS, FpClass, FpFormat, Word, class_table, pair_code
 from .relerr import check_exact, error_rows
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
@@ -198,10 +198,10 @@ class InjectionSummary:
     def site_count(self) -> int:
         return self.word_count * self.fmt.total_bits
 
-    def transition_counts(self) -> dict[FpClass, dict[FpClass, int]]:
+    def transition_counts(self) -> dict[tuple[FpClass, FpClass], int]:
+        """Events by (class before, class after), over every class pair."""
         n = np.bincount(self.transition, minlength=len(CLASS_PAIRS)).tolist()
-        pairs = dict(zip(CLASS_PAIRS, n))
-        return {a: {b: pairs[a, b] for b in CLASS_ORDER} for a in CLASS_ORDER}
+        return dict(zip(CLASS_PAIRS, n))
 
     def header_payload(self) -> dict:
         """`to_payload` without its `events`: the settings, counts and transitions."""
@@ -216,7 +216,7 @@ class InjectionSummary:
             "word_count": self.word_count,
             "site_count": self.site_count,
             "event_count": int(self.word_index.size),
-            "transitions": class_table(lambda a, b: counts[a][b]),
+            "transitions": class_table(lambda a, b: counts[a, b]),
         }
 
     def event_json(self, digits: int, nl: str) -> Iterator[str]:

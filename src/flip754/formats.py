@@ -152,6 +152,13 @@ def pair_code(src, dst):
     return src * len(CLASS_ORDER) + dst
 
 
+def class_rows(flat) -> tuple[tuple, ...]:
+    """The counts `flat`, indexed by `pair_code`, as rows by source class
+    and columns by destination class, both in `CLASS_ORDER`."""
+    n = range(len(CLASS_ORDER))
+    return tuple(tuple(flat[pair_code(a, b)] for b in n) for a in n)
+
+
 def class_table(cell: Callable[[FpClass, FpClass], object]) -> dict[str, dict[str, object]]:
     """{source: {destination: cell(source, destination)}}, keyed by class
     values in `CLASS_ORDER`: the form every transition table is printed in."""

@@ -50,7 +50,7 @@ from .analytic import (
     interval_probabilities,
 )
 from .formats import CLASS_CODE, CLASS_ORDER, CLASS_PAIRS, FpClass, FpFormat
-from .formats import class_size, class_table, pair_code
+from .formats import class_rows, class_size, class_table, pair_code
 from .rationals import ratio_str
 
 __all__ = [
@@ -181,9 +181,8 @@ class _MutableTally:
         dyadic[1] += cases[Case.EXP_HALF].sum()
         # normalized fraction entry k = w_f - pos: the largest level is exactly k
         dyadic[1:] += cases[Case.NORM_FRAC, w_f - 1 :: -1]
-        pairs = dict(zip(CLASS_PAIRS, self.counts.sum(axis=(1, 2)).tolist()))
         return FlipTally(
-            transitions=tuple(tuple(pairs[a, b] for b in CLASS_ORDER) for a in CLASS_ORDER),
+            transitions=class_rows(self.counts.sum(axis=(1, 2)).tolist()),
             buckets=tuple(int(c) for c in buckets),
             dyadic=tuple(int(c) for c in dyadic),
         )

@@ -121,10 +121,7 @@ def test_count_mode_records_a_consistent_event_chain():
     assert len(summary.events) == 12
     assert _replay(words, summary) == [int(b) for b in out]
     assert (np.asarray(words) != out).any()
-    total = sum(
-        n for row in summary.transition_counts().values() for n in row.values()
-    )
-    assert total == 12
+    assert sum(summary.transition_counts().values()) == 12
 
 
 def test_transition_counts_tally_each_event_once(tmp_path, monkeypatch):
@@ -144,7 +141,7 @@ def test_transition_counts_tally_each_event_once(tmp_path, monkeypatch):
         (classify(ev.before), classify(ev.after)) for ev in summary.events
     )
     counts = summary.transition_counts()
-    assert {(a, b): n for a, row in counts.items() for b, n in row.items() if n} == expected
+    assert {pair: n for pair, n in counts.items() if n} == expected
     assert len(expected) > 4
     masks = np.left_shift(np.uint64(1), summary.position.astype(np.uint64))
     assert np.array_equal(summary.after, summary.before ^ masks)
@@ -373,10 +370,11 @@ def test_inject_file_matches_in_memory_run(tmp_path):
 def test_inject_file_streams_chunks_like_one_array(tmp_path, monkeypatch, chunk, n_words, mode):
     # Several chunks of binary16 words, with events on both words at some
     # chunk edge: the file run and the array run at that chunk size equal
-    # the array run in fewer chunks (one, except at the default size).
+    # the array run in one chunk.
     fmt = FpFormat(5, 10)
     words = np.random.default_rng(n_words).integers(0, 1 << 16, size=n_words, dtype=np.uint64)
     draw = {"rate": 0.2} if mode == "rate" else {"count": 2 * n_words}
+    monkeypatch.setattr(fileio, "WORD_CHUNK", n_words)
     direct_out, direct = inject_words(words, fmt, seed=21, endian="big", **draw)
     monkeypatch.setattr(fileio, "WORD_CHUNK", chunk)
     src, dst = tmp_path / "in.bin", tmp_path / "out.bin"

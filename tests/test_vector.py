@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flip754 import BINARY16, BINARY32, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify
 from flip754 import flip_bit
-from flip754.formats import CLASS_ORDER, CLASS_PAIRS, _class_fields, pair_code
+from flip754.formats import CLASS_ORDER, CLASS_PAIRS, _class_fields, class_rows, pair_code
 from flip754 import _vector
 from flip754._vector import (
     BATCH,
@@ -127,7 +127,8 @@ def _label_misses(fmt: FpFormat) -> list[tuple[str, int, int]]:
 def test_class_pair_codes_decode_to_their_pair(fmt):
     # Each class's lowest and highest word (positive, then negative) gets
     # its class code from the array encoder; every pair of such codes, as
-    # ints and as uint8 arrays, decodes back to its pair of classes.
+    # ints and as uint8 arrays, decodes back to its pair of classes, and
+    # `class_rows` puts each pair at its row and column.
     assert CLASS_ORDER == tuple(FpClass)
     codes = {}
     for cls in CLASS_ORDER:
@@ -142,6 +143,7 @@ def test_class_pair_codes_decode_to_their_pair(fmt):
         assert pair.dtype == np.uint8
         assert [CLASS_PAIRS[c] for c in pair.tolist()] == [(src, dst)] * 2
         assert CLASS_PAIRS[pair_code(int(codes[src][0]), int(codes[dst][1]))] == (src, dst)
+    assert class_rows(CLASS_PAIRS) == tuple(tuple((a, b) for b in CLASS_ORDER) for a in CLASS_ORDER)
 
 
 def test_case_codes_that_the_label_sums_rest_on():
