@@ -41,12 +41,11 @@ a time for a denormal or NaN one.  `montecarlo.run_campaign` gives each
 of its threads one word and one position buffer and runs one chunk per
 thread at a time.
 
-The census and sweep path allocates no array of word lanes per position:
-a `FlipKernel` allocates its per-position buffers once, `flip_bits`,
-`split_fields` (exponent and fraction; no caller needs a split sign) and
-`_class_codes` write into them through their `out` arguments, and
-`label`, `held` and `dst` each return one of them, valid until the next
-call of the same method on that kernel.  A kernel belongs to one thread.
+The census and sweep path bounds its memory by the batch: a `FlipKernel`
+holds one batch of at most `BATCH` words, and `label`, `held` and `dst`
+each return a new array, so each position's temporaries are a few
+arrays as long as the batch.  Buffers kept across positions measured
+neither faster nor smaller on uint32 lanes, so the kernel keeps none.
 
 Labels are built without selects: each is a uint8 sum of the uint8 views
 (0 or 1) of the label's comparison masks, weighted by differences of
@@ -143,20 +142,15 @@ def _lanes(bits: np.ndarray) -> np.ndarray:
     return b if b.dtype == np.uint32 else b.astype(np.uint64, copy=False)
 
 
-def split_fields(
-    fmt: FpFormat, bits: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split raw words into (biased exponent, fraction) arrays, written
-    into `out` (two arrays shaped like `bits`) when given.
+def split_fields(fmt: FpFormat, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split raw words into (biased exponent, fraction) arrays.
 
     uint32 words give uint32 fields (`lane_dtype`), any other input
     uint64 ones."""
     b = _lanes(bits)
-    e, f = (None, None) if out is None else out
-    e = np.right_shift(b, fmt.fraction_bits, out=e)
+    e = b >> fmt.fraction_bits
     e &= fmt.exponent_all_ones
-    f = np.bitwise_and(b, fmt.fraction_mask, out=f)
-    return e, f
+    return e, b & fmt.fraction_mask
 
 
 def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
@@ -165,27 +159,25 @@ def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     return _class_codes(fmt, e, f)
 
 
-def _class_codes(
-    fmt: FpFormat, e: np.ndarray, f: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _class_codes(fmt: FpFormat, e: np.ndarray, f: np.ndarray) -> np.ndarray:
     # `formats.CLASS_CODE`s, 0 normalized, 1 denormal, 2 NaN, 3 infinity,
-    # as den + top * (2 + (f == 0)), in `out` (uint8) when given
-    code = np.equal(f, 0, out=None if out is None else out.view(np.bool_)).view(np.uint8)
+    # as den + top * (2 + (f == 0))
+    code = (f == 0).view(np.uint8)
     code += np.uint8(2)
     code *= (e == fmt.exponent_all_ones).view(np.uint8)
     code += (e == 0).view(np.uint8)
     return code
 
 
-def flip_bits(bits: np.ndarray, pos: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
-    """XOR each word with 1 << pos, into `out` when given.
+def flip_bits(bits: np.ndarray, pos: np.ndarray | int) -> np.ndarray:
+    """XOR each word with 1 << pos.
 
     A Python int `pos` keeps the lanes of `bits` (uint32 words stay
     uint32, `lane_dtype`); a per-word `pos` flips uint64 words."""
     b = _lanes(bits)
     if isinstance(pos, int):
-        return np.bitwise_xor(b, 1 << pos, out=out)
-    return np.bitwise_xor(b, _U1 << np.asarray(pos, dtype=np.uint64), out=out)
+        return b ^ (1 << pos)
+    return b ^ (_U1 << np.asarray(pos, dtype=np.uint64))
 
 
 def msb_index(values: np.ndarray) -> np.ndarray:
@@ -221,15 +213,12 @@ class FlipKernel:
 
     `held` and `dst` each cost one flip and one split into exponent and
     fraction: of the change after ^ bits for `held`, of the after-words
-    for `dst`.  Construction also allocates the buffers that every
-    position's work writes into (the after-words, the two fields, and one
-    result array per method), so a call allocates no array of word
-    lanes.  The array a method returns is one of these buffers: it stays
-    valid until the next call of the same method, and `held` and `dst`,
-    which share the after-word buffers, leave each other's results and
-    the label intact.  A kernel is therefore never shared between threads.
+    for `dst`.  Each call returns a new array, except that `label` at the
+    sign position, and at fraction positions of a batch without nonzero
+    denormals, returns a label computed at construction: callers read
+    labels and do not write into them.
 
-    The kernel holds its words, fields and buffers in `lane_dtype(fmt)`
+    The kernel holds its words and fields in `lane_dtype(fmt)`
     lanes, converting `bits` once: uint32 for the census and every format
     of at most 32 bits, where each position's work then moves half the
     bytes, and uint64 for binary64 and other wider formats.
@@ -253,11 +242,6 @@ class FlipKernel:
         self._sign_label = Case.SIGN * (self._norm8 + self._den8)
         self._frac_label = Case.NORM_FRAC * self._norm8
         self._exp_label = Case.DEN_EXP * self._den8
-        # the after-words (also held's change and label's temporary), split
-        self._word = np.empty_like(self.bits)
-        self._fields = (np.empty_like(self.bits), np.empty_like(self.bits))
-        self._label, self._dst = (np.empty_like(self.bits, dtype=np.uint8) for _ in range(2))
-        self._held = np.empty_like(self.bits, dtype=np.bool_)
 
     def label(self, pos: int) -> np.ndarray:
         """Case label of the flip of `pos` in each word (UNDEFINED exactly
@@ -279,7 +263,7 @@ class FlipKernel:
                 return self._frac_label
             # frac_label + den8 * (DEN_FRAC_GE + (f > bit) + (f >= 2 * bit))
             bit = 1 << pos
-            label = np.greater(f, bit, out=self._label.view(np.bool_)).view(np.uint8)
+            label = (f > bit).view(np.uint8)
             label += (f >= bit << 1).view(np.uint8)
             label += Case.DEN_FRAC_GE
             label *= self._den8
@@ -288,12 +272,10 @@ class FlipKernel:
         # exp_label + norm8 * (down + up * (EXP_UP + nonfinite - down)), where
         # down = still + hit * (EXP_TO_DEN - still + fz8)
         step = 1 << (pos - w_f)
-        t = np.bitwise_and(e, step, out=self._word)
-        up = (t == 0).view(np.uint8)
-        np.bitwise_or(e, step, out=t)
-        nonfinite = (t == fmt.exponent_all_ones).view(np.uint8)
+        up = ((e & step) == 0).view(np.uint8)
+        nonfinite = ((e | step) == fmt.exponent_all_ones).view(np.uint8)
         still = Case.EXP_HALF if pos == w_f else Case.EXP_DOWN
-        down = np.add(self._fz8, Case.EXP_TO_DEN - still, out=self._label)
+        down = self._fz8 + (Case.EXP_TO_DEN - still)
         down *= (e == step).view(np.uint8)
         down += still
         nonfinite += Case.EXP_UP
@@ -316,11 +298,11 @@ class FlipKernel:
         """
         fmt, flip = self.fmt, 1 << pos
         top, w_f = fmt.total_bits - 1, fmt.fraction_bits
-        change = flip_bits(self.bits, pos, out=self._word)
+        change = flip_bits(self.bits, pos)
         change ^= self.bits
-        e, f = split_fields(fmt, change, out=self._fields)
+        e, f = split_fields(fmt, change)
         change >>= top
-        held = np.equal(change, flip >> top, out=self._held)
+        held = change == flip >> top
         held &= e == (flip >> w_f & fmt.exponent_all_ones)
         held &= f == (flip & fmt.fraction_mask)
         if pos < w_f and self.has_den:
@@ -329,9 +311,7 @@ class FlipKernel:
 
     def dst(self, pos: int) -> np.ndarray:
         """Class code of each word after the flip of `pos`."""
-        fmt = self.fmt
-        e2, f2 = split_fields(fmt, flip_bits(self.bits, pos, out=self._word), out=self._fields)
-        return _class_codes(fmt, e2, f2, out=self._dst)
+        return classify_codes(self.fmt, flip_bits(self.bits, pos))
 
 
 def outcome_key(
@@ -351,8 +331,9 @@ def outcome_key(
     * NaN: f == 2^pos (only a fraction lane can hold);
     * infinity: none.
 
-    So width is 16, 2 * (w_f + 1), 2 or 1, and a key takes fewer than
-    8,064 values in any legal format.  `tests/test_montecarlo.py::
+    So width is 16, 2 * (w_f + 1), 2 or 1, and a key takes at most 7,936
+    values in any legal format: the denormal width 124 of format 2,61
+    times its 64 positions.  `tests/test_montecarlo.py::
     test_outcome_key_is_sufficient` proves sufficiency on every word and
     position of every format of at most 12 bits and of binary16;
     `test_outcome_key_is_sufficient_on_wide_formats` samples binary64,

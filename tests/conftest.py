@@ -171,9 +171,9 @@ def binary64_batches() -> np.ndarray:
 def _wrong_bit_flip(real, fmt):
     """flip_bits that flips bit 60 whenever a fraction position is asked for."""
 
-    def flip_bits(bits, pos, out=None):
+    def flip_bits(bits, pos):
         p = np.asarray(pos, dtype=np.uint64)
-        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p), out)
+        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p))
 
     return flip_bits
 
@@ -188,8 +188,8 @@ def _msb_off_by_one(real, fmt):
 def _exponent_mis_split(real, fmt):
     """split_fields that drops the lowest exponent bit."""
 
-    def split_fields(fmt_, bits, out=None):
-        e, f = real(fmt_, bits, out)
+    def split_fields(fmt_, bits):
+        e, f = real(fmt_, bits)
         return e & ~np.uint64(1), f
 
     return split_fields
@@ -200,8 +200,8 @@ def _fraction_mis_split(real, fmt):
     then shows no change in the split fraction, so only a field-wise check
     sees it: the whole words still differ in bit 0."""
 
-    def split_fields(fmt_, bits, out=None):
-        e, f = real(fmt_, bits, out)
+    def split_fields(fmt_, bits):
+        e, f = real(fmt_, bits)
         return e, f & ~np.uint64(1)
 
     return split_fields
@@ -217,8 +217,8 @@ def sign_co_flip(real, fmt):
     """
     top = np.uint64(fmt.total_bits - 1)
 
-    def flip_bits(bits, pos, out=None):
-        flipped = real(bits, pos, out)
+    def flip_bits(bits, pos):
+        flipped = real(bits, pos)
         flipped ^= (np.asarray(pos, dtype=np.uint64) != top).astype(np.uint64) << top
         return flipped
 

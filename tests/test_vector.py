@@ -228,6 +228,31 @@ def test_held_matches_its_three_branch_form_on_binary64_batches(plant_fault, fau
     assert all(verdicts) == (fault is None)
 
 
+def _alias_batches():
+    """One batch of every class of binary16, and `binary64_batches()` in
+    its batches of 64."""
+    b64 = binary64_batches()
+    return [
+        pytest.param(BINARY16, next(enumerate_class(BINARY16, cls)), id=f"binary16-{cls.value}")
+        for cls in CLASS_ORDER
+    ] + [
+        pytest.param(BINARY64, b64[i : i + 64], id=f"binary64-{i}") for i in range(0, b64.size, 64)
+    ]
+
+
+@pytest.mark.parametrize("fmt,bits", _alias_batches())
+def test_kernel_results_do_not_alias(fmt, bits):
+    """`label`, `held` and `dst` of every position, all kept until the kernel
+    has answered every position, equal what a fresh kernel returns for
+    that position alone: no result is overwritten by a later call."""
+    kernel = FlipKernel(fmt, bits)
+    kept = [(kernel.label(p), kernel.held(p), kernel.dst(p)) for p in range(fmt.total_bits)]
+    for pos, results in enumerate(kept):
+        fresh = FlipKernel(fmt, bits)
+        for name, got in zip(("label", "held", "dst"), results):
+            assert np.array_equal(got, getattr(fresh, name)(pos)), (name, pos)
+
+
 # ── lane widths ───────────────────────────────────────────────────────────
 
 
