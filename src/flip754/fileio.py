@@ -33,10 +33,13 @@ arrays (word index, bit, word before) and a uint8 class-pair code
 (`formats.pair_code`), 25 bytes an event: the code is set as the
 event is flipped, and the word after, before ^ 2^bit, where it is read.
 `event_json` writes the events list of the `inject` payload from them
-as JSON text, `EVENT_CHUNK` events at a time, with each chunk's exact
-relative errors from one call to `relerr.error_rows`, which computes
-fraction flips on arrays and every other flip once per position and
-`FlipKernel` case (`rationals` says which decimals come from float64).
+as JSON text, `EVENT_CHUNK` events at a time.  Per chunk, the words
+before and after are two hex columns, each cut from one hex text of the
+whole chunk; the exact relative errors come from one call to
+`relerr.error_rows`, which computes fraction flips on arrays and every
+other flip once per position and `FlipKernel` case (`rationals` says
+which decimals come from float64), and are written as one list of error
+objects; each event is then one f-string over the columns.
 
 The CLI writes that text into its envelope part by part, so its memory
 is bounded by the event columns plus one chunk, whatever the file size.
@@ -224,16 +227,17 @@ class InjectionSummary:
 
         nl is a newline and the list's own indent.  One part is yielded
         per `EVENT_CHUNK` events, then the closing one.  This is the one
-        place an event's content and layout are made: each chunk's errors
-        come from one `relerr.error_rows` call, and each event is one
+        place an event's content and layout are made.  Per chunk, the
+        words before and after are each one hex column (`_hex_words`),
+        the errors come from one `relerr.error_rows` call and are written
+        by one list comprehension, a finite error's four values in one
+        f-string and any other its `kind` alone, and each event is one
         f-string, its classes read off its `transition` code.  Every
-        event has the same seven keys and its error either `kind` alone
-        or four keys, so the f-strings give json's sorted keys and
-        indents.  Every string in an event is made of letters, digits and
-        "/.+-", which JSON writes unescaped.
+        event has the same seven keys, so the f-strings give json's
+        sorted keys and indents.  Every string in an event is made of
+        letters, digits and "/.+-", which JSON writes unescaped.
         """
-        fmt = self.fmt
-        x = f"0{fmt.hex_digits}X"  # a word as fixed-width upper-case hex
+        fmt, h = self.fmt, self.fmt.hex_digits
         i1 = nl + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
@@ -241,27 +245,24 @@ class InjectionSummary:
         classes = [f'"class_after": "{b.value}"{k}"class_before": "{a.value}"'
                    for a, b in CLASS_PAIRS]  # by transition code
 
-        def error(err: tuple) -> str:
-            if len(err) == 1:
-                return f'{{{i3}"kind": "{err[0]}"{i2}}}'
-            kind, ratio, dec, log2 = err
-            return (
-                f'{{{i3}"decimal": "{dec}"{e}"kind": "{kind}"{e}"log2": {log2!r}'
-                f'{e}"ratio": "{ratio}"{i2}}}'
-            )
-
         for lo in range(0, self.word_index.size, EVENT_CHUNK):
             rows = slice(lo, lo + EVENT_CHUNK)
             before, position = self.before[rows], self.position[rows]
-            yield ("," if lo else "[") + i1 + ("," + i1).join(
-                f'{{{i2}"after": "0x{a:{x}}"{k}"before": "0x{b:{x}}"{k}"bit": {p}'
-                f'{k}{classes[c]}{k}"error": {error(err)}{k}"word_index": {i}{i1}}}'
+            errors = [
+                f'{{{i3}"decimal": "{r[2]}"{e}"kind": "{r[0]}"{e}"log2": {r[3]!r}'
+                f'{e}"ratio": "{r[1]}"{i2}}}'
+                if len(r) == 4 else f'{{{i3}"kind": "{r[0]}"{i2}}}'
+                for r in error_rows(fmt, before, position, digits)
+            ]
+            yield ("," if lo else "[") + i1 + ("," + i1).join([
+                f'{{{i2}"after": "0x{a}"{k}"before": "0x{b}"{k}"bit": {p}'
+                f'{k}{classes[c]}{k}"error": {err}{k}"word_index": {i}{i1}}}'
                 for i, p, b, a, c, err in zip(
-                    self.word_index[rows].tolist(), position.tolist(), before.tolist(),
-                    (before ^ _masks(position)).tolist(), self.transition[rows].tolist(),
-                    error_rows(fmt, before, position, digits),
+                    self.word_index[rows].tolist(), position.tolist(), _hex_words(before, h),
+                    _hex_words(before ^ _masks(position), h), self.transition[rows].tolist(),
+                    errors,
                 )
-            )
+            ])
         yield nl + "]" if self.word_index.size else "[]"
 
     def to_payload(self, digits: int = 5) -> dict:
@@ -272,6 +273,16 @@ class InjectionSummary:
 
 def _masks(position: np.ndarray) -> np.ndarray:  # the flip masks 2^position, as uint64
     return np.left_shift(np.uint64(1), position.astype(np.uint64))
+
+
+def _hex_words(words: np.ndarray, digits: int) -> list[str]:
+    """Each uint64 word as its last `digits` upper-case hex digits.
+
+    The whole array becomes one text of 16 digits a word, which is cut
+    into the last `digits` of each 16-digit block.
+    """
+    text = words.astype(">u8").tobytes().hex().upper()
+    return [text[i : i + digits] for i in range(16 - digits, len(text), 16)]
 
 
 def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarray:

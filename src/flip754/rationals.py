@@ -142,6 +142,10 @@ def _float_decimals(
     return np.where(carry, lo, m), e10 + carry, certified
 
 
+# The scientific suffix "e+05" of each decade with |e10| < 100, made once.
+_EXP_SUFFIX = {e10: f"e{e10:+03d}" for e10 in range(-99, 100)}
+
+
 def _decimal_layout(ds: str, e10: int) -> str:
     """Place the significant digits `ds` of a value in [10^e10, 10^(e10+1)).
 
@@ -152,7 +156,8 @@ def _decimal_layout(ds: str, e10: int) -> str:
             head, tail = ds[: e10 + 1], ds[e10 + 1 :]
             return f"{head}.{tail}" if tail else head
         return "0." + "0" * (-e10 - 1) + ds
-    return f"{ds[0]}.{ds[1:]}e{e10:+03d}"
+    suffix = _EXP_SUFFIX.get(e10) or f"e{e10:+03d}"
+    return f"{ds[0]}.{ds[1:]}{suffix}"
 
 
 def ratio_str(q: Fraction) -> str:

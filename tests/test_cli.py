@@ -1101,8 +1101,8 @@ def class_words(fmt):
     )
 
 
-# Whole-byte formats for the CLI, with hex widths of 2, 4, 6, 8 and 16 digits.
-INJECT_SPECS = ["binary16", "binary32", "binary64", "3,4", "2,5", "6,17", "4,11"]
+# Whole-byte formats for the CLI, with hex widths of 2, 4, 6, 8, 10 and 16 digits.
+INJECT_SPECS = ["binary16", "binary32", "binary64", "3,4", "2,5", "6,17", "4,11", "8,31"]
 
 
 @st.composite
@@ -1149,11 +1149,40 @@ def test_inject_stdout_matches_the_dict_reference_at_the_event_chunk(tmp_path, o
     assert {(a, b): n for a, row in transitions.items() for b, n in row.items() if n} == pairs
 
 
-@given(inject_cases(["3,2", "2,1", "5,2"]))
+def mixed_binary64_words(seed, n):
+    """n seeded binary64 words over 600 decades, an eighth each of them
+    zeros, denormals, NaNs and infinities, with random signs."""
+    rng = np.random.default_rng(seed)
+    words = (rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)).view(np.uint64)
+    kind = rng.integers(0, 8, n)
+    fraction = rng.integers(1, 1 << 52, n, dtype=np.uint64)
+    exponent = np.uint64(0x7FF0000000000000)
+    words[kind == 0] = 0
+    words[kind == 1] = fraction[kind == 1]
+    words[kind == 2] = exponent | fraction[kind == 2]
+    words[kind == 3] = exponent
+    return (words | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)).tolist()
+
+
+@pytest.mark.parametrize("digits", [5, 17])
+def test_inject_stdout_matches_the_dict_reference_past_four_event_chunks(tmp_path, digits):
+    # At the default chunk sizes, a rate run of about 18,000 events,
+    # four or five on each word.
+    words = mixed_binary64_words(26, 4096)
+    draw = {"seed": 26, "rate": 0.07}
+    got = cli_inject_stdout(tmp_path, "binary64", words, digits, "little", **draw)
+    assert got == reference_inject_stdout(words, flip754.BINARY64, digits, **draw)
+    payload = json.loads(got)["payload"]
+    assert payload["event_count"] > 4 * fileio.EVENT_CHUNK
+    classes = {ev["class_before"] for ev in payload["events"]}
+    assert classes == {c.value for c in FpClass}
+
+
+@given(inject_cases(["3,2", "2,1", "5,2", "6,13", "12,15"]))
 @settings(max_examples=60, deadline=None)
 def test_event_rendering_matches_the_dict_reference_on_narrow_formats(case):
-    # Words narrower than a byte cannot be streamed; render their events
-    # through `_emit` directly, with 1- and 2-digit hex.
+    # Words of no whole number of bytes cannot be streamed; render their
+    # events through `_emit` directly, with 1-, 2-, 5- and 7-digit hex.
     spec, words, digits, endian, draw = case
     fmt = cli._parse_format(spec)
     _, summary = flip754.inject_words(np.array(words, dtype=np.uint64), fmt, **draw)

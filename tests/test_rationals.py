@@ -7,15 +7,18 @@ and against a frozen set of known renderings.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flip754 import decimal_str, floor_log2, log2_value, parse_rational, ratio_str
+from flip754 import decimal_str, floor_log2, log2_value, parse_rational, ratio_str, rationals
 
 
 FROZEN = [
@@ -147,6 +150,70 @@ def test_decimal_str_matches_fraction_reference(case):
 ], ids=["1/3", "-2/3", "1/2", "(10^50+1)/7", "(10^45-1)/10^60", "(2^200+1)/2^100"])
 def test_decimal_str_past_the_default_decimal_precision(q, digits):
     assert decimal_str(q, digits) == fraction_decimal_str(q, digits)
+
+
+# Decades at both ends of the exponent suffix's two-digit form, past it
+# and at the edges of the positional window.
+SUFFIX_DECADES = [-101, -100, -99, -5, -4, 99, 100, 101]
+
+
+@pytest.mark.parametrize("digits", [1, 5, 17])
+@pytest.mark.parametrize("e", SUFFIX_DECADES)
+def test_decimal_str_around_the_exponent_suffix_decades(e, digits):
+    # One step of the last digit below 10^e stays in decade e - 1, half a
+    # step below is a tie that carries into decade e, one step above rounds to 10^e.
+    step = Fraction(10) ** (e - digits)
+    for offset in (-step, -step / 2, 0, step):
+        q = Fraction(10) ** e + offset
+        assert decimal_str(q, digits) == fraction_decimal_str(q, digits)
+        assert decimal_str(-q, digits) == fraction_decimal_str(-q, digits)
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 17])
+def test_decimal_str_near_two_to_the_65535(digits):
+    # Decade 19,727 and -19,728, past any table of suffixes.  The reference
+    # prints the integers in full, so it runs without the int-to-str limit.
+    big = 2**65535
+    for q in (Fraction(big - 1), Fraction(big + 1, 3), Fraction(1, big - 1)):
+        got = decimal_str(q, digits)
+        with no_int_str_limit():
+            assert got == fraction_decimal_str(q, digits)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 12])
+@pytest.mark.parametrize("e10", [-300, -100, -99, 99, 100, 300])
+def test_decimal_texts_lays_out_certified_lanes_at_far_decades(monkeypatch, e10, digits):
+    # A ratio of two uint64 lies within 10^-20..10^20, so no lane reaches
+    # these decades.  Every lane here lies in [1, 10) and is certified;
+    # shifting its certified decade by e10 must render it as `decimal_text`
+    # renders the ratio times 10^e10.
+    n = np.array([3, 7, 12345, 99999, 31415926535], dtype=np.uint64)
+    d = np.array([1, 3, 10000, 10000, 10000000000], dtype=np.uint64)
+    float_decimals = rationals._float_decimals
+    assert float_decimals(n, d, digits)[2].all()
+
+    def shifted(n, d, digits):
+        m, e, certified = float_decimals(n, d, digits)
+        return m, e + e10, certified
+
+    monkeypatch.setattr(rationals, "_float_decimals", shifted)
+    scale = 10 ** abs(e10)
+    want = [
+        rationals.decimal_text(a * scale, b, digits) if e10 > 0
+        else rationals.decimal_text(a, b * scale, digits)
+        for a, b in zip(n.tolist(), d.tolist())
+    ]
+    assert rationals.decimal_texts(n, d, digits) == want
 
 
 def test_ratio_str():
