@@ -6,7 +6,9 @@ Two injection modes, both seeded and reproducible:
 
 * rate: every bit site of the stream flips independently with the given
   probability (drawn as one binomial count, then that many distinct
-  sites chosen uniformly, which is the same process);
+  sites chosen uniformly, which is the same process; `_distinct_sites`
+  keeps the chosen sites in one sorted array, so no rejection batch
+  re-sorts them and the draw stays fast at any rate);
 * count: exactly that many flips, sites drawn uniformly with
   replacement and applied in draw order, so a site drawn twice flips
   twice and the second event records the once-flipped word.
@@ -289,16 +291,21 @@ def _distinct_sites(rng: np.random.Generator, n_sites: int, k: int) -> np.ndarra
     """Choose k distinct sites uniformly, sorted; batched rejection.
 
     Each batch keeps its values in draw order, first occurrences only and
-    none already chosen, until k are chosen.
+    none already chosen, until k are chosen: the draws of a set filled one
+    site at a time.  The chosen sites are one sorted array ending in the
+    sentinel `n_sites`, which no site equals, so a batch costs one
+    `searchsorted` lookup and one insert, not a sort of every site chosen.
     """
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < k:
-        need = k - chosen.size
+    chosen = np.array([n_sites], dtype=np.int64)
+    while chosen.size <= k:
+        need = k + 1 - chosen.size
         batch = rng.integers(0, n_sites, size=max(2 * need, 16))
         values, first = np.unique(batch, return_index=True)
-        fresh = np.sort(first[~np.isin(values, chosen, assume_unique=True)])
-        chosen = np.union1d(chosen, batch[fresh[:need]])
-    return chosen
+        fresh = first[chosen[np.searchsorted(chosen, values)] != values]
+        if fresh.size:
+            new = np.sort(batch[np.sort(fresh)[:need]])
+            chosen = np.insert(chosen, np.searchsorted(chosen, new), new)
+    return chosen[:-1]
 
 
 def _draw(
@@ -323,12 +330,8 @@ def _draw(
     if rate is not None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
-        if n_words == 0:
-            sites = np.empty(0, dtype=np.int64)
-        else:
-            k = int(rng.binomial(n_words * w, rate))
-            sites = _distinct_sites(rng, n_words * w, k)
-        idx, bit = np.divmod(sites, w)
+        k = int(rng.binomial(n_words * w, rate))
+        idx, bit = np.divmod(_distinct_sites(rng, n_words * w, k), w)
     else:
         if count < 0:
             raise ValueError("count must be non-negative")
