@@ -5,7 +5,7 @@ field splits, flips and `msb_index` are pure bit arithmetic, with no
 float64 step.  The scalar routines in `formats` remain the reference
 semantics; these kernels are checked against them in the test suite.
 The class vocabulary (`CLASS_ORDER`, `CLASS_CODE` and the class-pair
-code) lives in `formats`; `_class_codes` is its one array encoder.
+code) lives in `formats`; `classify_codes` is its one array encoder.
 
 The flip kernel runs in the narrowest lane that holds a word,
 `lane_dtype`: uint32 for a format of at most 32 bits, else uint64.  Every
@@ -60,7 +60,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .formats import CLASS_CODE, FpClass, FpFormat, Word, _class_fields
+from .formats import FpClass, FpFormat, Word, _class_fields
 
 _U1 = np.uint64(1)
 
@@ -154,14 +154,9 @@ def split_fields(fmt: FpFormat, bits: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
-    """`formats.CLASS_CODE` of each word."""
+    """`formats.CLASS_CODE` of each word: 0 normalized, 1 denormal, 2 NaN,
+    3 infinity, as den + top * (2 + (f == 0))."""
     e, f = split_fields(fmt, bits)
-    return _class_codes(fmt, e, f)
-
-
-def _class_codes(fmt: FpFormat, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # `formats.CLASS_CODE`s, 0 normalized, 1 denormal, 2 NaN, 3 infinity,
-    # as den + top * (2 + (f == 0))
     code = (f == 0).view(np.uint8)
     code += np.uint8(2)
     code *= (e == fmt.exponent_all_ones).view(np.uint8)
@@ -199,7 +194,7 @@ class FlipKernel:
     """Closed-form outcomes of flipping one bit of every word of a batch.
 
     Construction does the work that depends only on the source words:
-    exponents and fractions, class codes, the nonzero-denormal mask and,
+    exponents and fractions, the normalized and nonzero-denormal masks and,
     when the batch holds nonzero denormals, msb_index(f) with the
     leading-entry identity 2^lead <= f < 2^(lead+1).  Per position the
     kernel then answers three questions, each computed only when a
@@ -228,8 +223,7 @@ class FlipKernel:
         self.fmt = fmt
         self.bits = np.asarray(bits, dtype=lane_dtype(fmt))
         self.e, self.f = split_fields(fmt, self.bits)
-        self.codes = _class_codes(fmt, self.e, self.f)
-        self.norm = norm = self.codes == CLASS_CODE[FpClass.NORMALIZED]
+        self.norm = norm = (self.e != 0) & (self.e != fmt.exponent_all_ones)
         f_zero = self.f == 0
         self.den_nz = den_nz = (self.e == 0) & ~f_zero
         self.has_den = bool(den_nz.any())

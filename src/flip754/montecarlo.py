@@ -14,8 +14,11 @@ Two empirical engines back the closed forms in `analytic`:
 Both engines are reductions of the one flip-outcome kernel in `_vector`
 (which `relerr.bounds_sweep` reduces too), and both read only its case
 label and destination class, never its `held` verdict, which is the
-sweep's.  The census calls it once per position on each batch of
-enumerated words.  The campaign never runs it per lane: each chunk
+sweep's.  Each tallies the flips of one source class, so the class is a
+parameter of the tally, not a per-lane fact: every batch the kernel runs
+on is classified once, and a word of another class raises instead of
+tallying.  The census calls the kernel once per position on each batch
+of enumerated words.  The campaign never runs it per lane: each chunk
 counts the `_vector.outcome_key` of its lanes in a histogram and keeps
 the smallest and largest word drawn for each key; after the merge the
 kernel runs once per position on those two representatives of every
@@ -38,10 +41,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ._vector import Case, FlipKernel
+from ._vector import Case, FlipKernel, classify_codes
 from ._vector import enumerate_class, outcome_key, sample_class_bits
 # Not called here: perfbench/tracer.py looks these names up in this module.
-from ._vector import classify_codes, flip_bits, msb_index, split_fields  # noqa: F401
+from ._vector import flip_bits, msb_index, split_fields  # noqa: F401
 from .analytic import (
     BUCKET_NAMES,
     BucketConvention,
@@ -49,8 +52,7 @@ from .analytic import (
     cdf_dyadic,
     interval_probabilities,
 )
-from .formats import CLASS_CODE, CLASS_ORDER, CLASS_PAIRS, FpClass, FpFormat
-from .formats import class_rows, class_size, class_table, pair_code
+from .formats import CLASS_CODE, CLASS_ORDER, FpClass, FpFormat, class_size, class_table
 from .rationals import ratio_str
 
 __all__ = [
@@ -105,40 +107,50 @@ class FlipTally:
 
 
 class _MutableTally:
-    """Counts kept while flips are tallied.
+    """Counts kept while the flips of words of one source class, `cls`,
+    are tallied.
 
-    One histogram over (source class, destination class, case, column)
-    holds every fact: the transitions are its class margin, and the error
+    One histogram over (destination class, case, column) holds every
+    fact: the transitions out of `cls` are its class margin, and the error
     buckets and dyadic levels follow from its (case, column) margin.  The
     column is the flipped position, except for a denormal fraction flip
     at most 1/2 (DEN_FRAC_LE): its level depends on each word's leading
     fraction bit, so its column is that level, lead - pos, which lies in
-    [1, w_f - 1].
+    [1, w_f - 1].  Every batch comes through `kernel`, which checks that
+    its words are of `cls`.
     """
 
-    def __init__(self, fmt: FpFormat) -> None:
-        self.fmt = fmt
-        self.counts = np.zeros((len(CLASS_PAIRS), Case.COUNT, fmt.total_bits), dtype=np.int64)
+    def __init__(self, fmt: FpFormat, cls: FpClass) -> None:
+        self.fmt, self.cls = fmt, cls
+        self.counts = np.zeros((len(CLASS_ORDER), Case.COUNT, fmt.total_bits), dtype=np.int64)
+
+    def kernel(self, bits: np.ndarray) -> FlipKernel:
+        """The `FlipKernel` of a batch of words; raises RuntimeError if any
+        word is not of the tally's class."""
+        foreign = bits[classify_codes(self.fmt, bits) != CLASS_CODE[self.cls]]
+        if foreign.size:
+            raise RuntimeError(f"word {int(foreign[0]):#x} is not {self.cls.value}")
+        return FlipKernel(self.fmt, bits)
 
     def cases(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        """Label and pair case of the flip of `pos` in every word of the
-        kernel's batch.  The pair case, `pair_code` of the source and
-        destination classes times Case.COUNT plus the label, indexes the
-        first two axes of `counts` flattened; it is below
-        len(CLASS_PAIRS) * Case.COUNT = 208, so a uint8."""
+        """Label and case of the flip of `pos` in every word of the
+        kernel's batch.  The case, the destination class code times
+        Case.COUNT plus the label, indexes the first two axes of `counts`
+        flattened; it is below len(CLASS_ORDER) * Case.COUNT = 52, so a
+        uint8."""
         label = kernel.label(pos)
-        pair = pair_code(kernel.codes, kernel.dst(pos))
-        pair *= np.uint8(Case.COUNT)
-        pair += label
-        return label, pair
+        case = kernel.dst(pos)
+        case *= np.uint8(Case.COUNT)
+        case += label
+        return label, case
 
     def cells(
         self, kernel: FlipKernel, pos: int, cases: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
         kernel's batch, from its `cases` (computed when not given)."""
-        label, pair = self.cases(kernel, pos) if cases is None else cases
-        cell = np.multiply(pair, self.fmt.total_bits, dtype=np.intp)
+        label, case = self.cases(kernel, pos) if cases is None else cases
+        cell = np.multiply(case, self.fmt.total_bits, dtype=np.intp)
         cell += pos
         if kernel.has_den:  # a DEN_FRAC_LE flip's column is its level, lead - pos
             level = label == Case.DEN_FRAC_LE
@@ -149,16 +161,16 @@ class _MutableTally:
     def add(self, kernel: FlipKernel, pos: int) -> None:
         """Tally the flip of `pos` in every word of the kernel's batch.
 
-        A batch whose flips all share one pair case outside DEN_FRAC_LE, as
-        at every sign and fraction position of a normalized batch, adds its
+        A batch whose flips all share one case outside DEN_FRAC_LE, as at
+        every sign and fraction position of a normalized batch, adds its
         size to one cell: with `bincount` alone, the census of 8,15
         normalized took 2.7 times as long.  Otherwise the flat cells are
         counted with `bincount`.
         """
-        label, pair = cases = self.cases(kernel, pos)
-        lo, hi = pair.min(), pair.max()
+        label, case = cases = self.cases(kernel, pos)
+        lo, hi = case.min(), case.max()
         if lo == hi and label[0] != Case.DEN_FRAC_LE:
-            self.counts.reshape(-1, self.fmt.total_bits)[lo, pos] += pair.size
+            self.counts.reshape(-1, self.fmt.total_bits)[lo, pos] += case.size
             return
         cell = self.cells(kernel, pos, cases)
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
@@ -169,6 +181,7 @@ class _MutableTally:
 
     def freeze(self) -> FlipTally:
         w_f = self.fmt.fraction_bits
+        row = tuple(self.counts.sum(axis=(1, 2)).tolist())
         cases = self.counts.sum(axis=0)
         buckets = np.zeros(5, dtype=np.int64)
         for case, slot in _CASE_BUCKET.items():
@@ -178,7 +191,7 @@ class _MutableTally:
         # normalized fraction entry k = w_f - pos: the largest level is exactly k
         dyadic[1:] += cases[Case.NORM_FRAC, w_f - 1 :: -1]
         return FlipTally(
-            transitions=class_rows(self.counts.sum(axis=(1, 2)).tolist()),
+            transitions=tuple(row if c is self.cls else (0,) * len(row) for c in CLASS_ORDER),
             buckets=tuple(int(c) for c in buckets),
             dyadic=tuple(int(c) for c in dyadic),
         )
@@ -316,8 +329,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         stripes = range(threads)
         parts = map(run_stripe, stripes) if threads == 1 else pool.map(run_stripe, stripes)
-        hist, lo, hi = _merge(parts)
-    return CampaignReport(config, _contract(fmt, hist, lo, hi).freeze())
+        merged = _merge(parts)
+    return CampaignReport(config, _contract(fmt, cls, merged).freeze())
 
 
 def _merge(parts: Iterator[_Part]) -> _Part:
@@ -331,26 +344,27 @@ def _merge(parts: Iterator[_Part]) -> _Part:
     return hist, lo, hi
 
 
-def _contract(fmt: FpFormat, hist: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _MutableTally:
-    """Tally a campaign's key histogram: run the kernel once per position on
-    the smallest and largest word of each key seen, check that both give
-    one outcome, and add that outcome as many times as the key was counted."""
-    t = _MutableTally(fmt)
+def _contract(fmt: FpFormat, cls: FpClass, merged: _Part) -> _MutableTally:
+    """Tally a campaign's merged key histogram of words of `cls`: run the
+    kernel once per position on the smallest and largest word of each key
+    seen, check that both give one outcome, and add that outcome as many
+    times as the key was counted."""
+    hist, lo, hi = merged
+    t = _MutableTally(fmt, cls)
     width = hist.size // fmt.total_bits
     for pos in range(fmt.total_bits):
         keys = pos * width + np.flatnonzero(hist[pos * width : (pos + 1) * width])
         if not keys.size:
             continue
-        m = keys.size
-        cell = t.cells(FlipKernel(fmt, np.concatenate([lo[keys], hi[keys]])), pos)
-        same = cell[:m] == cell[m:]
+        cell = t.cells(t.kernel(np.concatenate([lo[keys], hi[keys]])), pos).reshape(2, -1)
+        same = cell[0] == cell[1]
         if not same.all():
             k = int(keys[np.argmin(same)])
             raise RuntimeError(
                 f"outcome key {k} (position {pos}, flags {k % width}) gives two "
                 f"outcomes: words {int(lo[k]):#x} and {int(hi[k]):#x} disagree"
             )
-        t.add_weighted(cell[:m], hist[keys])
+        t.add_weighted(cell[0], hist[keys])
     return t
 
 
@@ -398,9 +412,9 @@ def exhaustive_census(
     """
     if fmt.total_bits > 24:
         raise ValueError("exhaustive census supports formats of at most 24 bits")
-    t = _MutableTally(fmt)
+    t = _MutableTally(fmt, source_class)
     for chunk in enumerate_class(fmt, source_class):
-        kernel = FlipKernel(fmt, chunk)
+        kernel = t.kernel(chunk)
         for pos in range(fmt.total_bits):
             t.add(kernel, pos)
     return CensusReport(

@@ -59,17 +59,63 @@ def test_census_matches_brute_force(small_format, cls):
 
 @pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
 def test_census_catches_planted_faults(plant_fault, fault):
+    """Under each planted kernel fault some census of 3,2 differs from the
+    scalar oracle or raises: RuntimeError when a mis-split field puts an
+    enumerated word outside its class.  Without a fault none raises and
+    every census equals the oracle."""
     fmt = FpFormat(3, 2)
     oracle = {cls: brute_census(fmt, cls) for cls in ORDER}
     if fault is not None:
         plant_fault(fault, fmt)
     differs = []
     for cls in ORDER:
-        tally = exhaustive_census(fmt, cls).tally
+        try:
+            tally = exhaustive_census(fmt, cls).tally
+        except RuntimeError:
+            differs.append(cls)
+            continue
         got = {"transitions": tally.transitions, "buckets": tally.buckets, "dyadic": tally.dyadic}
         if got != oracle[cls]:
             differs.append(cls)
     assert bool(differs) == (fault is not None)
+
+
+FOREIGN_PAIRS = pytest.mark.parametrize(
+    "src,foreign", [(a, b) for a in ORDER for b in ORDER if a is not b],
+    ids=lambda c: c.value,
+)
+
+
+@pytest.mark.parametrize("fmt", [FpFormat(2, 1), FpFormat(3, 2)], ids=lambda f: f.name)
+@FOREIGN_PAIRS
+def test_census_with_a_foreign_word_is_red(monkeypatch, fmt, src, foreign):
+    """A census whose enumeration yields one word of another class in place
+    of its first word fails `compare` or raises, for every ordered pair of
+    classes.  A NaN and an infinity flip to the same destination counts on
+    these formats, so a tally that trusted its enumeration would pass with
+    either in place of the other; the tally's class check raises instead."""
+    real = montecarlo.enumerate_class
+    stranger = next(real(fmt, foreign))[0]
+
+    def with_stranger(fmt_, cls):
+        chunks = list(real(fmt_, cls))
+        chunks[0] = np.concatenate([[stranger], chunks[0][1:]])
+        yield from chunks
+
+    monkeypatch.setattr(montecarlo, "enumerate_class", with_stranger)
+    try:
+        report = exhaustive_census(fmt, src)
+    except RuntimeError:
+        return
+    assert not compare(transition_matrix(fmt), report).passed
+
+
+@FOREIGN_PAIRS
+def test_tally_kernel_refuses_a_foreign_word(src, foreign):
+    fmt = FpFormat(3, 2)
+    words = np.concatenate([next(enumerate_class(fmt, foreign)), next(enumerate_class(fmt, src))])
+    with pytest.raises(RuntimeError, match=f"word {int(words[0]):#x} is not {src.value}$"):
+        montecarlo._MutableTally(fmt, src).kernel(words)
 
 
 def test_census_case_accounting(small_format):
@@ -89,16 +135,16 @@ def _cells_reference(tally, kernel: FlipKernel, pos: int) -> np.ndarray:
     """`_MutableTally.cells` as first written: every lane's flat index, its
     column the position or, for DEN_FRAC_LE, the level lead - pos."""
     label, dst = kernel.label(pos), kernel.dst(pos)
-    pair_case = (kernel.codes * 4 + dst) * Case.COUNT + label
+    case = dst * Case.COUNT + label
     column = pos
     if kernel.has_den:
         column = np.where(label == Case.DEN_FRAC_LE, kernel.lead - pos, pos)
-    return pair_case.astype(np.intp) * tally.fmt.total_bits + column
+    return case.astype(np.intp) * tally.fmt.total_bits + column
 
 
 def _top_denormals(fmt: FpFormat) -> np.ndarray:
     """Both signs' denormals with the top fraction bit set: below position
-    w_f - 1 every flip of theirs is DEN_FRAC_LE, in one pair case."""
+    w_f - 1 every flip of theirs is DEN_FRAC_LE, in one case."""
     f = np.arange(1 << (fmt.fraction_bits - 1), 1 << fmt.fraction_bits, dtype=np.uint64)
     return np.concatenate([f, f | np.uint64(1 << (fmt.total_bits - 1))])
 
@@ -108,18 +154,20 @@ def _top_denormals(fmt: FpFormat) -> np.ndarray:
 )
 def test_census_tally_matches_its_per_lane_form(fmt):
     """`add` counts the same histogram as the per-lane cells and one
-    `bincount` per position did, on every class and on a batch that is
-    DEN_FRAC_LE alone at most fraction positions."""
-    batches = [chunk for cls in ORDER for chunk in enumerate_class(fmt, cls)]
-    tally = montecarlo._MutableTally(fmt)
-    expected = np.zeros_like(tally.counts)
-    for bits in batches + [_top_denormals(fmt)]:
-        kernel = FlipKernel(fmt, bits)
-        for pos in range(fmt.total_bits):
-            tally.add(kernel, pos)
-            cell = _cells_reference(tally, kernel, pos)
-            expected += np.bincount(cell, minlength=expected.size).reshape(expected.shape)
-    assert np.array_equal(tally.counts, expected)
+    `bincount` per position did, in one tally per class, and on a denormal
+    batch that is DEN_FRAC_LE alone at most fraction positions."""
+    batches = {cls: list(enumerate_class(fmt, cls)) for cls in ORDER}
+    batches[FpClass.DENORMALIZED].append(_top_denormals(fmt))
+    for cls, chunks in batches.items():
+        tally = montecarlo._MutableTally(fmt, cls)
+        expected = np.zeros_like(tally.counts)
+        for bits in chunks:
+            kernel = tally.kernel(bits)
+            for pos in range(fmt.total_bits):
+                tally.add(kernel, pos)
+                cell = _cells_reference(tally, kernel, pos)
+                expected += np.bincount(cell, minlength=expected.size).reshape(expected.shape)
+        assert np.array_equal(tally.counts, expected), cls
 
 
 @pytest.mark.parametrize("fmt", [BINARY16, FpFormat(6, 13)], ids=lambda f: f.name)
@@ -382,11 +430,11 @@ def test_campaign_config_validation():
 
 
 def _assert_key_sufficient(fmt: FpFormat, cls: FpClass, words: np.ndarray) -> None:
-    """Every key of (word, position) pairs of `cls` maps to one tally cell,
-    the cell `_contract` compares: source class, destination class, case
+    """Every key of (word, position) pairs of `cls` maps to one cell of a
+    tally of `cls`, the cell `_contract` compares: destination class, case
     label, and the position or, for DEN_FRAC_LE, the denormal level."""
-    kernel = FlipKernel(fmt, words)
-    tally = montecarlo._MutableTally(fmt)
+    tally = montecarlo._MutableTally(fmt, cls)
+    kernel = tally.kernel(words)
     keys, cells = [], []
     for pos in range(fmt.total_bits):
         cells.append(tally.cells(kernel, pos))

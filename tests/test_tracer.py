@@ -56,6 +56,7 @@ def test_tracer_installs_on_this_tree_and_is_undone():
         bounds_sweep(FpFormat(2, 1), np.arange(16, dtype=np.uint64))
         tracer.active = False
         assert tracer.snapshot()["vector.split_fields.calls"] > 0
+        assert tracer.snapshot()["vector.classify_codes.calls"] > 0
     finally:
         for h, saved in zip(holders, before):
             for name, value in saved.items():

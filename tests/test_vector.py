@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from flip754 import BINARY16, BINARY32, BINARY64, ErrorKind, FpClass, FpFormat, Word, classify
 from flip754 import flip_bit
-from flip754.formats import CLASS_ORDER, CLASS_PAIRS, _class_fields, class_rows, pair_code
+from flip754.formats import CLASS_CODE, CLASS_ORDER, CLASS_PAIRS, _class_fields, pair_code
 from flip754 import _vector
 from flip754._vector import (
     BATCH,
-    CLASS_CODE,
     Case,
     FlipKernel,
+    classify_codes,
     enumerate_class,
     lane_dtype,
     msb_index,
@@ -127,8 +127,7 @@ def _label_misses(fmt: FpFormat) -> list[tuple[str, int, int]]:
 def test_class_pair_codes_decode_to_their_pair(fmt):
     # Each class's lowest and highest word (positive, then negative) gets
     # its class code from the array encoder; every pair of such codes, as
-    # ints and as uint8 arrays, decodes back to its pair of classes, and
-    # `class_rows` puts each pair at its row and column.
+    # ints and as uint8 arrays, decodes back to its pair of classes.
     assert CLASS_ORDER == tuple(FpClass)
     codes = {}
     for cls in CLASS_ORDER:
@@ -136,14 +135,13 @@ def test_class_pair_codes_decode_to_their_pair(fmt):
         ends = [(e0 << fmt.fraction_bits) | f0,
                 1 << fmt.total_bits - 1 | (e0 + n_e - 1) << fmt.fraction_bits | f0 + n_f - 1]
         words = np.array(ends, dtype=lane_dtype(fmt))
-        codes[cls] = _vector._class_codes(fmt, *split_fields(fmt, words))
+        codes[cls] = classify_codes(fmt, words)
         assert [classify(Word(int(w), fmt)) for w in words] == [cls, cls]
     for src, dst in CLASS_PAIRS:
         pair = pair_code(codes[src], codes[dst][::-1])
         assert pair.dtype == np.uint8
         assert [CLASS_PAIRS[c] for c in pair.tolist()] == [(src, dst)] * 2
         assert CLASS_PAIRS[pair_code(int(codes[src][0]), int(codes[dst][1]))] == (src, dst)
-    assert class_rows(CLASS_PAIRS) == tuple(tuple((a, b) for b in CLASS_ORDER) for a in CLASS_ORDER)
 
 
 def test_case_codes_that_the_label_sums_rest_on():
@@ -326,7 +324,7 @@ LANE_CASES = [
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_kernel_matches_the_scalar_flip_at_either_lane_width(fmt, lane, data):
-    """`label`, `held`, `dst` and `codes` of uint64 input words equal
+    """`label`, `held`, `dst` and `norm` of uint64 input words equal
     `_scalar_flip` at every position, on both sides of the 32-bit lane
     boundary, and the words and fields sit in lanes of the expected width."""
     words = data.draw(_field_words(fmt))
@@ -337,7 +335,7 @@ def test_kernel_matches_the_scalar_flip_at_either_lane_width(fmt, lane, data):
         assert kernel.label(pos).tolist() == label, pos
         assert kernel.held(pos).tolist() == held, pos
         assert kernel.dst(pos).tolist() == dst, pos
-        assert kernel.codes.tolist() == code
+        assert kernel.norm.tolist() == [c == CLASS_CODE[FpClass.NORMALIZED] for c in code]
     assert {kernel.bits.dtype, kernel.e.dtype, kernel.f.dtype} == {np.dtype(lane)}
     assert lane_dtype(fmt) is lane
 
