@@ -23,7 +23,6 @@ import re
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .analytic import (
@@ -58,7 +57,7 @@ from .montecarlo import (
     exhaustive_census,
     run_campaign,
 )
-from .rationals import MAX_EXACT_BITS, decimal_str, log2_value, parse_rational, ratio_str
+from .rationals import DECIMAL_EXPONENT_LIMIT, MAX_EXACT_BITS, _far_literal, decimal_str, log2_value, parse_rational, ratio_str
 from .relerr import check_bounds, error_payload
 
 __all__ = ["main", "CLI_SCHEMA"]
@@ -68,15 +67,6 @@ CLI_SCHEMA = "flip754/cli-v1"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
-
-# A decimal literal whose leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT
-# is never built as an exact rational (10^2000000 alone takes 0.7 s).  A
-# finite nonzero word that far out needs a scale past MAX_EXACT_BITS on
-# every format: 10^20000 > 2^66438, and a word's scale lies below its
-# binade's exponent by the fraction width, at most 61 bits.  A `bounds
-# --tol` that far out lies below 2^-61, every format's finest level, or
-# above 1/4, so it is refused as it is.
-DECIMAL_EXPONENT_LIMIT = 20_000
 
 
 # ── argument parsing ──────────────────────────────────────────────────────
@@ -112,18 +102,6 @@ def _parse_word(fmt: FpFormat, text: str) -> Word:
         return recompose(fmt, sign, fmt.exponent_all_ones, 1 << (fmt.fraction_bits - 1))
     far = _far_decimal(fmt, t, sign)
     return far if far is not None else encode_nearest(fmt, abs(parse_rational(t)), sign)
-
-
-def _far_literal(text: str) -> Decimal | None:
-    """`text` as a Decimal when it is a finite nonzero decimal literal whose
-    leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT; None for any nearer
-    literal, a rational such as 13/128, or no number.  No exact rational
-    is built."""
-    try:
-        dec = Decimal(text)
-    except InvalidOperation:
-        return None
-    return dec if dec.is_finite() and dec and abs(dec.adjusted()) > DECIMAL_EXPONENT_LIMIT else None
 
 
 def _far_decimal(fmt: FpFormat, text: str, sign: int) -> Word | None:

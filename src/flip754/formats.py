@@ -279,25 +279,29 @@ def classify(w: Word) -> FpClass:
 
 
 def decode_value(w: Word) -> ExactValue:
-    """Exact decoded value of a word.
+    """Exact decoded value of a word, read from `_finite_parts`, or NaN or
+    +-Inf under the word's sign."""
+    parts = _finite_parts(w.fmt, w.bits)
+    if parts is not None:
+        return ExactValue(ValueKind.FINITE, *parts)
+    s, _, f = decode_fields(w)
+    return ExactValue(ValueKind.NAN if f else ValueKind.INF, -1 if s else 1)
+
+
+def _finite_parts(fmt: FpFormat, bits: int) -> tuple[int, int, int] | None:
+    """(sign, significand, scale) of the word `bits` of `fmt`, whose value is
+    sign * significand * 2^scale with sign +-1; None for NaN and infinity.
 
     Normalized: (-1)^s (2^w_f + f) 2^(e - bias - w_f).
-    Denormalized: (-1)^s f 2^(1 - bias - w_f).
+    Denormalized: (-1)^s f 2^(1 - bias - w_f), the scale of e = 1 with no
+    hidden bit.
     """
-    fmt = w.fmt
-    s, e, f = decode_fields(w)
-    sign = -1 if s else 1
+    w_f = fmt.fraction_bits
+    e, f = (bits >> w_f) & fmt.exponent_all_ones, bits & fmt.fraction_mask
     if e == fmt.exponent_all_ones:
-        kind = ValueKind.NAN if f != 0 else ValueKind.INF
-        return ExactValue(kind, sign)
-    if e == 0:
-        return ExactValue(ValueKind.FINITE, sign, f, 1 - fmt.bias - fmt.fraction_bits)
-    return ExactValue(
-        ValueKind.FINITE,
-        sign,
-        (1 << fmt.fraction_bits) | f,
-        e - fmt.bias - fmt.fraction_bits,
-    )
+        return None
+    sign = -1 if bits >> (fmt.total_bits - 1) else 1
+    return sign, (1 << w_f) | f if e else f, max(e, 1) - fmt.bias - w_f
 
 
 def _check_position(fmt: FpFormat, pos: int) -> None:

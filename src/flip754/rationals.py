@@ -58,6 +58,15 @@ __all__ = [
 # 2^61 bits, which cannot be allocated at all.
 MAX_EXACT_BITS = 1 << 16
 
+# A decimal literal whose leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT
+# is never built as an exact rational (10^2000000 alone takes 0.7 s).  A
+# finite nonzero word that far out needs a scale past MAX_EXACT_BITS on
+# every format: 10^20000 > 2^66438, and a word's scale lies below its
+# binade's exponent by the fraction width, at most 61 bits.  A `bounds
+# --tol` that far out lies below 2^-61, every format's finest level, or
+# above 1/4, so it is refused as it is.
+DECIMAL_EXPONENT_LIMIT = 20_000
+
 
 def decimal_str(q: Fraction, digits: int = 5) -> str:
     """Render q with exactly `digits` significant digits, half-to-even.
@@ -199,13 +208,27 @@ def floor_log2(q: Fraction) -> int:
     return n if q >= Fraction(2) ** n else n - 1
 
 
+def _far_literal(text: str) -> Decimal | None:
+    """`text` as a Decimal when it is a finite nonzero decimal literal whose
+    leading digit lies past 10^±DECIMAL_EXPONENT_LIMIT; None for any nearer
+    literal, a rational such as 13/128, or no number.  No exact rational
+    is built."""
+    try:
+        dec = Decimal(text)
+    except InvalidOperation:
+        return None
+    return dec if dec.is_finite() and dec and abs(dec.adjusted()) > DECIMAL_EXPONENT_LIMIT else None
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse '13/128', '0.25', or '1e-11' into an exact Fraction."""
+    """Parse '13/128', '0.25', or '1e-11' into an exact Fraction; a decimal
+    literal past 10^+-DECIMAL_EXPONENT_LIMIT is refused before it is built."""
     t = text.strip()
+    if _far_literal(t) is not None:
+        raise ValueError(f"{text!r} lies past 10^+-{DECIMAL_EXPONENT_LIMIT}: not built as an exact rational")
     try:
         if "/" in t:
             return Fraction(t)
         return Fraction(Decimal(t))
-    except (InvalidOperation, ValueError, ZeroDivisionError):
+    except (InvalidOperation, ValueError, ZeroDivisionError, OverflowError):  # OverflowError: inf
         raise ValueError(f"not a rational: {text!r}") from None
-

@@ -3,9 +3,12 @@
 The relative error |x - x'| / |x| of a flip is computed on integers as
 a lowest-terms pair n/d (`error_ratio`) and handed out as an exact
 `Fraction` (`relative_error`); no floating-point rounding enters
-anywhere.  `error_values` renders one flip's error for printing, and
-`error_rows` renders a whole chunk of flips to the same values: fraction
-flips with numpy, the others once per position and `FlipKernel` case.
+anywhere.  `error_ratio` follows the definition: it decodes the word
+and the flipped word alike and divides, with no split by the flip's
+locus, so it shares no case analysis with the predictions it checks.
+`error_values` renders one flip's error for printing, and `error_rows`
+renders a whole chunk of flips to the same values: fraction flips with
+numpy, the others once per position and `FlipKernel` case.
 For finite nonzero sources each flip locus carries a closed-form
 prediction:
 
@@ -43,7 +46,7 @@ from itertools import repeat
 import numpy as np
 
 from ._vector import BATCH, Case, FlipKernel, as_words, msb_index
-from .formats import FpFormat, Word, _check_position, decode_fields
+from .formats import FpFormat, Word, _check_position, _finite_parts, decode_fields
 from .rationals import MAX_EXACT_BITS, decimal_text, decimal_texts, log2_ratio, ratio_text
 
 # Not called here: perfbench/tracer.py looks these names up in this module.
@@ -101,46 +104,36 @@ def error_ratio(fmt: FpFormat, bits: int, pos: int) -> tuple[ErrorKind, int, int
     """`relative_error` of flipping bit `pos` of `bits` as (kind, n, d).
 
     n/d is the error in lowest terms for FINITE; n = d = 0 otherwise.
-    Computed from the integer fields: both values are
-    significand * 2^(exponent - bias - w_f), so the common scale cancels
-    once both significands are shifted to the smaller exponent.  An
-    exponent flip whose shift passes `MAX_EXACT_BITS` raises ValueError.
+    Both the word and the flipped word are decoded by `formats._finite_parts`
+    to sign * significand * 2^scale; once both significands are shifted to
+    the smaller scale, the common power of two cancels from |x - x'| / |x|.
+    A flip whose scales differ by more than `MAX_EXACT_BITS` raises ValueError.
     """
     _check_position(fmt, pos)
-    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
-    hidden = 1 << w_f
-    e, f = (bits >> w_f) & top, bits & (hidden - 1)
-    if e == top or (e == 0 and f == 0):
+    x, y = _finite_parts(fmt, bits), _finite_parts(fmt, bits ^ (1 << pos))
+    if x is None or x[1] == 0:
         return ErrorKind.UNDEFINED, 0, 0
-    if pos == fmt.total_bits - 1:  # x' = -x, so |x - x'| = 2|x|
-        return ErrorKind.FINITE, 2, 1
-    # Normalized significands carry the hidden bit; denormals scale as e = 1.
-    m = f | hidden if e else f
-    if pos < w_f:  # same exponent; the significands differ by 2^pos
-        diff = 1 << pos
-    else:
-        step = 1 << (pos - w_f)
-        e2 = e ^ step
-        if e2 == top:
-            return ErrorKind.NONFINITE, 0, 0
-        if step > MAX_EXACT_BITS:  # the shift below would be about `step` bits
-            raise ValueError(
-                f"the exact error of flipping bit {pos} needs a shift of {step} "
-                f"bits, past the limit of {MAX_EXACT_BITS}"
-            )
-        m2 = f | hidden if e2 else f
-        e, e2 = max(e, 1), max(e2, 1)
-        low = min(e, e2)
-        m, m2 = m << (e - low), m2 << (e2 - low)
-        diff = abs(m - m2)
+    if y is None:
+        return ErrorKind.NONFINITE, 0, 0
+    (s, m, k), (s2, m2, k2) = x, y
+    if (shift := abs(k - k2)) > MAX_EXACT_BITS:
+        raise ValueError(
+            f"the exact error of flipping bit {pos} needs a shift of {shift} "
+            f"bits, past the limit of {MAX_EXACT_BITS}"
+        )
+    low = min(k, k2)
+    m, m2 = m << (k - low), m2 << (k2 - low)
+    diff = abs(s * m - s2 * m2)
     g = math.gcd(diff, m)
     return ErrorKind.FINITE, diff // g, m // g
 
 
 def check_exact(fmt: FpFormat, bits: np.ndarray, pos: np.ndarray) -> None:
     """Raise `error_ratio`'s ValueError for the first flip of bit pos[i] of
-    bits[i] whose exact error is past `MAX_EXACT_BITS`.  Only an exponent
-    step 2^(pos - w_f) above the limit can be, so only the lanes from
+    bits[i] whose exact error is past `MAX_EXACT_BITS`.  A flip at exponent
+    place 2^(pos - w_f) moves the scale by that place, or by one less into
+    or out of the denormals, which passes the power of two `MAX_EXACT_BITS`
+    exactly when the place does; so only the lanes from
     w_f + MAX_EXACT_BITS.bit_length() to below the sign bit are checked."""
     p = np.asarray(pos)
     far = (p >= fmt.fraction_bits + MAX_EXACT_BITS.bit_length()) & (p < fmt.total_bits - 1)

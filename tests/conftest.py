@@ -22,10 +22,9 @@ from flip754 import (
     FpClass,
     FpFormat,
     RelativeError,
-    ValueKind,
     Word,
     classify,
-    decode_value,
+    decode_fields,
     flip_bit,
 )
 
@@ -63,20 +62,42 @@ def iter_class_words(fmt: FpFormat, cls: FpClass):
             yield w
 
 
-def fraction_relative_error(w: Word, pos: int) -> RelativeError:
-    """|x - x'| / |x| from both decoded values as Fractions.
+def field_parts(w: Word) -> tuple[int, int] | None:
+    """(m, k) with the value of a finite word m * 2^k; None for NaN and infinity.
 
-    Subtracts the decoded values themselves, so it shares no arithmetic
-    with `relerr.relative_error`, which shifts integer significands.
+    Its own formula on `decode_fields`: m = (-1)^s (2^w_f [e != 0] + f) and
+    k = max(e, 1) - bias - w_f.
     """
-    v = decode_value(w)
-    if v.kind is not ValueKind.FINITE or v.significand == 0:
+    fmt = w.fmt
+    s, e, f = decode_fields(w)
+    if e == fmt.exponent_all_ones:
+        return None
+    return (-1) ** s * ((e != 0) * (1 << fmt.fraction_bits) + f), max(e, 1) - fmt.bias - fmt.fraction_bits
+
+
+def field_value(w: Word) -> Fraction | None:
+    """m * 2^k of `field_parts` as a Fraction; None for NaN and infinity."""
+    parts = field_parts(w)
+    if parts is None:
+        return None
+    m, k = parts
+    return m * Fraction(2) ** k
+
+
+def fraction_relative_error(w: Word, pos: int) -> RelativeError:
+    """|x - x'| / |x| from both values as Fractions (`field_value`).
+
+    Subtracts the values themselves, so it shares no arithmetic with
+    `relerr.relative_error`, which shifts the integer significands of
+    `formats._finite_parts`.
+    """
+    x = field_value(w)
+    if x is None or x == 0:
         return RelativeError(ErrorKind.UNDEFINED)
-    v2 = decode_value(flip_bit(w, pos))
-    if v2.kind is not ValueKind.FINITE:
+    x2 = field_value(flip_bit(w, pos))
+    if x2 is None:
         return RelativeError(ErrorKind.NONFINITE)
-    x = v.as_fraction()
-    return RelativeError(ErrorKind.FINITE, abs(x - v2.as_fraction()) / abs(x))
+    return RelativeError(ErrorKind.FINITE, abs(x - x2) / abs(x))
 
 
 def dyadic_level(err: Fraction) -> int:

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import flip754
 from flip754 import cli, fileio
-from flip754.cli import CLI_SCHEMA, main
+from flip754.cli import CLI_SCHEMA, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from flip754.formats import FpClass
 from flip754.relerr import error_payload
 from conftest import package_env
@@ -808,6 +808,24 @@ def test_far_decimal_tolerances_are_refused_within_seconds(tol, refusal):
     out = subprocess.run([sys.executable, "-m", "flip754", "bounds", f"--tol={tol}"],
                          capture_output=True, text=True, timeout=30, env=package_env())
     assert (out.returncode, out.stdout) == (2, "") and refusal in out.stderr
+
+
+HOSTILE_LITERALS = ["inf", "Infinity", "-inf", "sNaN", "1/0", "0x", "1e999999999999999999"]
+ODD_FORMATS = ["", ",", "8,", "1,1", "-3,2", "x,y", "3,2,1", "99,99", "1e5,2", "inf", "binary128"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(("classify", text) for text in HOSTILE_LITERALS),
+    *(("flip", text, "--bit", "0") for text in HOSTILE_LITERALS),
+    *(("bounds", f"--tol={text}") for text in HOSTILE_LITERALS),
+    *(("classify", "1", "--format", text) for text in HOSTILE_LITERALS + ODD_FORMATS),
+], ids=" ".join)
+def test_hostile_literals_exit_with_a_code_not_a_traceback(capsys, argv):
+    """Every hostile value, tolerance or format ends in exit code 0, 2 or 3,
+    `bounds --tol inf` too, where Fraction(Decimal("inf")) raises OverflowError."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH), err
+    assert code == EXIT_OK or err.startswith("flip754: ") or "usage:" in err
 
 
 # ── package API ───────────────────────────────────────────────────────────

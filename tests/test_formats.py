@@ -41,7 +41,7 @@ from flip754 import (
     word_to_float,
 )
 from flip754.rationals import ratio_str
-from conftest import BYTE_FORMATS, SMALL_FORMATS, iter_class_words, package_env
+from conftest import BYTE_FORMATS, SMALL_FORMATS, field_value, iter_class_words, package_env
 
 ALL_CLASSES = list(FpClass)
 
@@ -170,6 +170,21 @@ def test_decode_value_matches_host_float(bits):
         assert v.as_fraction() == Fraction(x)
         if x == 0.0:
             assert (v.sign < 0) == bool(struct.pack("<d", x)[7] & 0x80)
+
+
+@pytest.mark.parametrize("fmt", BYTE_FORMATS, ids=lambda f: f.name)
+def test_decode_value_matches_the_field_formula_exhaustively(fmt):
+    """Kind, sign and value of every word, against `field_value`, the
+    independent formula that the relative-error oracle is built on."""
+    for bits in range(1 << fmt.total_bits):
+        w = Word(bits, fmt)
+        s, e, f = decode_fields(w)
+        v = decode_value(w)
+        assert v.sign == (-1) ** s, w
+        if e == fmt.exponent_all_ones:
+            assert v.kind is (ValueKind.NAN if f else ValueKind.INF), w
+        else:
+            assert v.kind is ValueKind.FINITE and v.as_fraction() == field_value(w), w
 
 
 def test_as_fraction_refuses_scales_past_the_limit():

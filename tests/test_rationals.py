@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flip754 import decimal_str, floor_log2, log2_value, parse_rational, ratio_str, rationals
+from conftest import package_env
 
 
 FROZEN = [
@@ -260,9 +262,32 @@ def test_parse_rational():
     assert parse_rational("1e-11") == Fraction(1, 10**11)
     assert parse_rational("-2.5e3") == -2500
     assert parse_rational(" 3/4 ") == Fraction(3, 4)
-    for bad in ("", "zzz", "1/0", "0x10", "1/2/3"):
-        with pytest.raises(ValueError):
+    # Decimal reads the last six; Fraction(Decimal("inf")) raises OverflowError
+    for bad in ("", "zzz", "1/0", "0x10", "1/2/3", "inf", "Infinity", "-inf", "+INF", "nan", "sNaN"):
+        with pytest.raises(ValueError, match="not a rational"):
             parse_rational(bad)
+
+
+def test_parse_rational_refuses_far_literals_before_building_them():
+    limit = rationals.DECIMAL_EXPONENT_LIMIT
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+    for far in (f"1e-{limit + 1}", "1e-30000", "-7.5e30000", f"1e{limit + 1}"):
+        with pytest.raises(ValueError, match=f"past 10\\^\\+-{limit}"):
+            parse_rational(far)
+
+
+def test_parse_rational_refuses_a_huge_exponent_within_seconds():
+    """Built exactly, 1e999999999999999999 was still running after two
+    minutes; a child process with a timeout fails rather than hangs."""
+    code = (
+        "from flip754.rationals import parse_rational\n"
+        "try:\n    parse_rational('1e999999999999999999')\n"
+        "except ValueError as exc:\n    print(exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env=package_env())
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "'1e999999999999999999' lies past 10^+-20000: not built as an exact rational\n"
 
 
 @given(st.fractions())

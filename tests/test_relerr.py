@@ -51,6 +51,7 @@ from conftest import (
     SMALL_FORMATS,
     TINY_FORMATS,
     binary64_batches,
+    field_parts,
     fraction_relative_error,
     sign_co_flip,
 )
@@ -232,6 +233,38 @@ def test_error_ratio_refuses_shifts_past_the_limit():
     # a flip onto the all-ones code stays non-finite whatever the width
     top = recompose(wide, 0, wide.exponent_all_ones ^ (1 << 17), 0)
     assert relative_error(top, wide.total_bits - 2).kind is ErrorKind.NONFINITE
+
+
+@pytest.mark.parametrize("fmt", [FpFormat(17, 8), FpFormat(18, 8), FpFormat(19, 6)],
+                         ids=lambda f: f.name)
+def test_error_ratio_refuses_exactly_the_finite_exponent_flips_past_the_limit(fmt):
+    """An exponent flip at place 2^d moves the scale by 2^d, or by 2^d - 1
+    into or out of the denormals; with `MAX_EXACT_BITS` a power of two, the
+    scale difference passes it exactly when 2^d does.  Every other flip of
+    these words gives |1 - x'/x| from the two words' `field_parts`.  (The
+    Fractions of the values themselves span 2^18-bit scales here, where
+    one division takes up to 50 ms.)"""
+    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
+    places = [1 << d for d in range(fmt.exponent_bits)]
+    exponents = {0, 1, top - 1} | {e for p in places for e in (p, p + 1, top ^ p)}
+    refused = 0
+    for e in sorted(exponents):
+        for f in (1, fmt.fraction_mask) if e == 0 else (0, 1, fmt.fraction_mask):
+            w = recompose(fmt, 1, e, f)
+            for pos in range(w_f, fmt.total_bits - 1):
+                step = 1 << (pos - w_f)
+                if e ^ step == top:
+                    assert error_ratio(fmt, w.bits, pos) == (ErrorKind.NONFINITE, 0, 0)
+                elif step > MAX_EXACT_BITS:
+                    shift = step - (e in (0, step))  # from or into the denormals
+                    with pytest.raises(ValueError, match=rf"flipping bit {pos} needs a shift of {shift} bits"):
+                        error_ratio(fmt, w.bits, pos)
+                    refused += 1
+                else:
+                    (m, k), (m2, k2) = field_parts(w), field_parts(flip_bit(w, pos))
+                    q = abs(1 - Fraction(m2 << max(k2 - k, 0), m << max(k - k2, 0)))
+                    assert error_ratio(fmt, w.bits, pos) == (ErrorKind.FINITE, q.numerator, q.denominator)
+    assert (refused > 0) == (fmt.exponent_bits > 17)
 
 
 # ── scalar conformance, exhaustive on small formats ───────────────────────
