@@ -6,16 +6,22 @@ float64 step.  The scalar routines in `formats` remain the reference
 semantics; these kernels are checked against them in the test suite.
 The class vocabulary (`CLASS_ORDER`, `CLASS_CODE` and the class-pair
 code) lives in `formats`; `classify_codes` is its one array encoder.
+It splits no field: with the sign bit cleared, each class is one
+interval of the magnitude (`_class_bounds`), so a word's class is the
+number of bounds its magnitude reaches.  The census in `montecarlo`
+tests the same bounds on the smallest and largest magnitude of a
+flipped batch, with `_magnitude_code`, and builds no per-word code when
+both lie in one class.
 
 The flip kernel runs in the narrowest lane that holds a word,
 `lane_dtype`: uint32 for a format of at most 32 bits, else uint64.  Every
-census word has at most 24 bits, so its flips, splits and class tests
-move half the bytes that uint64 lanes would.  Both widths run the same
-functions: each scalar that meets a lane in them is a Python int, which
-numpy (NEP 50) casts to the lane's dtype, where an `np.uint64` scalar
-would promote a uint32 batch to uint64 temporaries.  The campaign's draws
-(`sample_class_bits`, `outcome_key`) stay uint64 at every width, since
-the seeded draw scheme is uint64.
+census word has at most 24 bits, so its flips, splits and class
+comparisons move half the bytes that uint64 lanes would.  Both widths
+run the same functions: each scalar that meets a lane in them is a
+Python int, which numpy (NEP 50) casts to the lane's dtype, where an
+`np.uint64` scalar would promote a uint32 batch to uint64 temporaries.
+The campaign's draws (`sample_class_bits`, `outcome_key`) stay uint64
+at every width, since the seeded draw scheme is uint64.
 
 `FlipKernel` holds the one vector form of the closed-form case analysis
 of a flip (sign; fraction; exponent up, down, into the denormals or off
@@ -23,7 +29,8 @@ the finite range).  It answers three questions per position, and each
 reduction asks only for what it reads:
 
 * the census in `montecarlo` tallies the case label and the destination
-  class (`label`, `dst`) of every (word, position) pair;
+  class of every (word, position) pair: it reads `label`, and reads the
+  class off the flipped magnitudes itself, as `dst` does per word;
 * the campaign tallies the same two through `outcome_key`: it counts one
   small key per sampled flip and runs the kernel only on representative
   words of each key, weighting each outcome by its key's count;
@@ -56,6 +63,7 @@ every label does, so the wraparound always cancels.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 import numpy as np
@@ -153,14 +161,35 @@ def split_fields(fmt: FpFormat, bits: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return e, b & fmt.fraction_mask
 
 
+def _class_bounds(fmt: FpFormat) -> tuple[int, int, int]:
+    """Where the classes begin on the magnitude, the word with its sign
+    bit cleared: the smallest normal 2^w_f, infinity and the smallest NaN.
+
+    Each class is one interval of the magnitude: zeros and denormals lie
+    below 2^w_f, normals below infinity's pattern all_ones << w_f, and
+    NaNs above it.  So the number of bounds a magnitude reaches is 0 for a
+    denormal, 1 for a normal, 2 for infinity and 3 for a NaN, and that
+    number XOR 1 is its `formats.CLASS_CODE` (`_magnitude_code`).
+    """
+    inf = fmt.exponent_all_ones << fmt.fraction_bits
+    return 1 << fmt.fraction_bits, inf, inf + 1
+
+
+def _magnitude_code(bounds: tuple[int, int, int], magnitude: int) -> int:
+    """`formats.CLASS_CODE` of one magnitude, given its format's `_class_bounds`."""
+    return bisect_right(bounds, magnitude) ^ 1
+
+
 def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     """`formats.CLASS_CODE` of each word: 0 normalized, 1 denormal, 2 NaN,
-    3 infinity, as den + top * (2 + (f == 0))."""
-    e, f = split_fields(fmt, bits)
-    code = (f == 0).view(np.uint8)
-    code += np.uint8(2)
-    code *= (e == fmt.exponent_all_ones).view(np.uint8)
-    code += (e == 0).view(np.uint8)
+    3 infinity: the number of `_class_bounds` its magnitude reaches,
+    XOR 1, from three comparisons and no field split."""
+    magnitude = _lanes(bits) & (fmt.word_mask >> 1)
+    smallest_normal, inf, smallest_nan = _class_bounds(fmt)
+    code = (magnitude >= smallest_normal).view(np.uint8)
+    code += (magnitude >= inf).view(np.uint8)
+    code += (magnitude >= smallest_nan).view(np.uint8)
+    code ^= np.uint8(1)
     return code
 
 
@@ -203,15 +232,17 @@ class FlipKernel:
     * `label(pos)`: the `Case` of each flip, from the source fields only;
     * `held(pos)`: whether each field of the word changed exactly as the
       flip predicts, which is what the bounds sweep counts;
-    * `dst(pos)`: the class code of each after-word, which the census and
-      the campaign tally with the label.
+    * `dst(pos)`: the class code of each after-word, which the campaign
+      tallies with the label (the census reads the same class off the
+      flipped magnitudes, and builds the codes only when they differ).
 
-    `held` and `dst` each cost one flip and one split into exponent and
-    fraction: of the change after ^ bits for `held`, of the after-words
-    for `dst`.  Each call returns a new array, except that `label` at the
-    sign position, and at fraction positions of a batch without nonzero
-    denormals, returns a label computed at construction: callers read
-    labels and do not write into them.
+    `held` costs one flip and one split of the change after ^ bits into
+    exponent and fraction; `dst` costs one flip and the three magnitude
+    comparisons of `classify_codes`, with no split.  Each call returns a
+    new array, except that `label` at the sign position, and at fraction
+    positions of a batch without nonzero denormals, returns a label
+    computed at construction: callers read labels and do not write into
+    them.
 
     The kernel holds its words and fields in `lane_dtype(fmt)`
     lanes, converting `bits` once: uint32 for the census and every format

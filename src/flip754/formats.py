@@ -14,6 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import MAX_EXACT_BITS, floor_log2 as _floor_log2, ratio_str
 
@@ -50,7 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FpFormat:
-    """Bit layout of a binary floating-point format: 1 + w_e + w_f bits."""
+    """Bit layout of a binary floating-point format: 1 + w_e + w_f bits.
+
+    The derived fields are computed on first read and then kept on the
+    instance; equality, hashing, repr and pickles see only the two widths.
+    """
 
     exponent_bits: int
     fraction_bits: int
@@ -63,27 +68,30 @@ class FpFormat:
         if self.total_bits > 64:
             raise ValueError("words wider than 64 bits are not supported")
 
-    @property
+    def __getstate__(self) -> dict[str, int]:
+        return {"exponent_bits": self.exponent_bits, "fraction_bits": self.fraction_bits}
+
+    @cached_property
     def total_bits(self) -> int:
         return 1 + self.exponent_bits + self.fraction_bits
 
-    @property
+    @cached_property
     def bias(self) -> int:
         return (1 << (self.exponent_bits - 1)) - 1
 
-    @property
+    @cached_property
     def exponent_all_ones(self) -> int:
         return (1 << self.exponent_bits) - 1
 
-    @property
+    @cached_property
     def fraction_mask(self) -> int:
         return (1 << self.fraction_bits) - 1
 
-    @property
+    @cached_property
     def word_mask(self) -> int:
         return (1 << self.total_bits) - 1
 
-    @property
+    @cached_property
     def hex_digits(self) -> int:
         return -(-self.total_bits // 4)
 

@@ -17,14 +17,18 @@ label and destination class, never its `held` verdict, which is the
 sweep's.  Each tallies the flips of one source class, so the class is a
 parameter of the tally, not a per-lane fact: every batch the kernel runs
 on is classified once, and a word of another class raises instead of
-tallying.  The census calls the kernel once per position on each batch
-of enumerated words.  The campaign never runs it per lane: each chunk
-counts the `_vector.outcome_key` of its lanes in a histogram and keeps
-the smallest and largest word drawn for each key; after the merge the
-kernel runs once per position on those two representatives of every
-key seen, and each outcome is added as many times as its key was
-counted.  The two representatives must agree, so a key that missed a
-dependence of the outcome raises instead of tallying.
+tallying.  The census asks the kernel for its label once per position
+on each batch of enumerated words and reads the destination class off
+the flipped batch's magnitudes, one class interval each: a position
+whose flips all land in one class and one case is counted from the
+smallest and the largest magnitude alone.  The campaign never runs the
+kernel per lane: each chunk counts the `_vector.outcome_key` of its
+lanes in a histogram and keeps the smallest and largest word drawn for
+each key; after the merge the kernel runs once per position on those
+two representatives of every key seen, and each outcome is added as
+many times as its key was counted.  The two representatives must agree,
+so a key that missed a dependence of the outcome raises instead of
+tallying.
 
 `compare` judges either engine's tallies against the closed forms:
 exact rational equality for a census, a binomial z-test for a campaign.
@@ -41,7 +45,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._vector import Case, FlipKernel, classify_codes
+from . import _vector
+from ._vector import Case, FlipKernel, _class_bounds, _magnitude_code, classify_codes
 from ._vector import enumerate_class, outcome_key, sample_class_bits
 # Not called here: perfbench/tracer.py looks these names up in this module.
 from ._vector import flip_bits, msb_index, split_fields  # noqa: F401
@@ -123,6 +128,7 @@ class _MutableTally:
     def __init__(self, fmt: FpFormat, cls: FpClass) -> None:
         self.fmt, self.cls = fmt, cls
         self.counts = np.zeros((len(CLASS_ORDER), Case.COUNT, fmt.total_bits), dtype=np.int64)
+        self._bounds = _class_bounds(fmt)
 
     def kernel(self, bits: np.ndarray) -> FlipKernel:
         """The `FlipKernel` of a batch of words; raises RuntimeError if any
@@ -132,24 +138,23 @@ class _MutableTally:
             raise RuntimeError(f"word {int(foreign[0]):#x} is not {self.cls.value}")
         return FlipKernel(self.fmt, bits)
 
-    def cases(self, kernel: FlipKernel, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        """Label and case of the flip of `pos` in every word of the
-        kernel's batch.  The case, the destination class code times
-        Case.COUNT plus the label, indexes the first two axes of `counts`
-        flattened; it is below len(CLASS_ORDER) * Case.COUNT = 52, so a
-        uint8."""
-        label = kernel.label(pos)
-        case = kernel.dst(pos)
-        case *= np.uint8(Case.COUNT)
-        case += label
-        return label, case
-
     def cells(
-        self, kernel: FlipKernel, pos: int, cases: tuple[np.ndarray, np.ndarray] | None = None
+        self,
+        kernel: FlipKernel,
+        pos: int,
+        label: np.ndarray | None = None,
+        dst: np.ndarray | None = None,
     ) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
-        kernel's batch, from its `cases` (computed when not given)."""
-        label, case = self.cases(kernel, pos) if cases is None else cases
+        kernel's batch, from its label and destination class codes (the
+        kernel's, when not given; `dst` is written over).  The case, dst *
+        Case.COUNT + label, indexes the first two axes of `counts`
+        flattened; it is below len(CLASS_ORDER) * Case.COUNT = 52, so a
+        uint8."""
+        label = kernel.label(pos) if label is None else label
+        case = kernel.dst(pos) if dst is None else dst
+        case *= np.uint8(Case.COUNT)
+        case += label
         cell = np.multiply(case, self.fmt.total_bits, dtype=np.intp)
         cell += pos
         if kernel.has_den:  # a DEN_FRAC_LE flip's column is its level, lead - pos
@@ -161,18 +166,28 @@ class _MutableTally:
     def add(self, kernel: FlipKernel, pos: int) -> None:
         """Tally the flip of `pos` in every word of the kernel's batch.
 
-        A batch whose flips all share one case outside DEN_FRAC_LE, as at
-        every sign and fraction position of a normalized batch, adds its
-        size to one cell: with `bincount` alone, the census of 8,15
-        normalized took 2.7 times as long.  Otherwise the flat cells are
-        counted with `bincount`.
+        The batch is flipped and its sign bits cleared: each class is one
+        interval of these magnitudes (`_vector._class_bounds`), so when the
+        smallest and the largest fall in one interval, every flip has that
+        destination class.  If the labels are then all one case outside
+        DEN_FRAC_LE, as at every sign and fraction position of a normalized
+        batch, the batch size is added to one cell and no per-word class
+        code is built (with `bincount` alone, the census of 8,15
+        normalized took 2.7 times as long).  Otherwise the class codes come
+        from the same magnitudes and the flat cells are counted with
+        `bincount`.
         """
-        label, case = cases = self.cases(kernel, pos)
-        lo, hi = case.min(), case.max()
-        if lo == hi and label[0] != Case.DEN_FRAC_LE:
-            self.counts.reshape(-1, self.fmt.total_bits)[lo, pos] += case.size
+        label = kernel.label(pos)
+        # looked up in `_vector`, like the kernel's own flips, so that a
+        # primitive swapped there reaches the census too
+        magnitude = _vector.flip_bits(kernel.bits, pos)
+        magnitude &= self.fmt.word_mask >> 1
+        dst = _magnitude_code(self._bounds, int(magnitude.min()))
+        uniform = dst == _magnitude_code(self._bounds, int(magnitude.max()))
+        if uniform and label.min() == label.max() != Case.DEN_FRAC_LE:
+            self.counts[dst, label[0], pos] += magnitude.size
             return
-        cell = self.cells(kernel, pos, cases)
+        cell = self.cells(kernel, pos, label, classify_codes(self.fmt, magnitude))
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
 
     def add_weighted(self, cell: np.ndarray, weight: np.ndarray) -> None:

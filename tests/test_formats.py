@@ -7,6 +7,7 @@ struct, an oracle independent of the library's integer arithmetic.
 from __future__ import annotations
 
 import math
+import pickle
 import struct
 import subprocess
 import sys
@@ -65,6 +66,10 @@ def format_words(draw) -> Word:
 
 # ── layout ────────────────────────────────────────────────────────────────
 
+DERIVED_FIELDS = (
+    "total_bits", "bias", "exponent_all_ones", "fraction_mask", "word_mask", "hex_digits"
+)
+
 
 def test_standard_layouts():
     assert (BINARY64.exponent_bits, BINARY64.fraction_bits) == (11, 52)
@@ -83,6 +88,31 @@ def test_format_validation():
     with pytest.raises(ValueError):
         FpFormat(11, 53)  # 65 bits
     FpFormat(11, 52)  # exactly 64 is fine
+
+
+@pytest.mark.parametrize("fmt", [FpFormat(3, 2), BINARY64, FpFormat(62, 1)], ids=lambda f: f.name)
+def test_derived_fields_are_kept_apart_from_the_value(fmt):
+    """Reading the derived fields keeps them on the instance, but equality,
+    hash, repr and the pickle still see only the two widths: a twin never
+    read is the same value, and an unpickled copy computes them anew."""
+    w_e, w_f = fmt.exponent_bits, fmt.fraction_bits
+    twin = FpFormat(w_e, w_f)
+    unread = pickle.dumps(twin)
+    derived = {name: getattr(fmt, name) for name in DERIVED_FIELDS}
+    assert derived == {
+        "total_bits": 1 + w_e + w_f,
+        "bias": 2 ** (w_e - 1) - 1,
+        "exponent_all_ones": 2**w_e - 1,
+        "fraction_mask": 2**w_f - 1,
+        "word_mask": 2 ** (1 + w_e + w_f) - 1,
+        "hex_digits": math.ceil((1 + w_e + w_f) / 4),
+    }
+    assert all(name in vars(fmt) for name in DERIVED_FIELDS)
+    assert (fmt == twin, hash(fmt) == hash(twin), repr(fmt)) == (True, True, repr(twin))
+    assert pickle.dumps(fmt) == unread
+    copy = pickle.loads(unread)
+    assert copy == fmt and not any(name in vars(copy) for name in DERIVED_FIELDS)
+    assert {name: getattr(copy, name) for name in DERIVED_FIELDS} == derived
 
 
 def test_word_validation():

@@ -60,9 +60,11 @@ def test_census_matches_brute_force(small_format, cls):
 @pytest.mark.parametrize("fault", [None, *PLANTED_FAULTS])
 def test_census_catches_planted_faults(plant_fault, fault):
     """Under each planted kernel fault some census of 3,2 differs from the
-    scalar oracle or raises: RuntimeError when a mis-split field puts an
-    enumerated word outside its class.  Without a fault none raises and
-    every census equals the oracle."""
+    scalar oracle; a RuntimeError from the tally's class check would count
+    too.  That check compares magnitudes and splits no field, so the two
+    mis-splits no longer raise through it: they show in the labels of the
+    words whose fields they skew.  Without a fault none raises and every
+    census equals the oracle."""
     fmt = FpFormat(3, 2)
     oracle = {cls: brute_census(fmt, cls) for cls in ORDER}
     if fault is not None:

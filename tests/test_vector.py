@@ -144,6 +144,47 @@ def test_class_pair_codes_decode_to_their_pair(fmt):
         assert CLASS_PAIRS[pair_code(int(codes[src][0]), int(codes[dst][1]))] == (src, dst)
 
 
+@pytest.mark.parametrize("fmt", TINY_FORMATS, ids=lambda f: f.name)
+def test_classify_codes_matches_classify_on_every_word(fmt):
+    words = np.arange(1 << fmt.total_bits)
+    expected = [CLASS_CODE[classify(Word(int(w), fmt))] for w in words]
+    for lane in (np.uint32, np.uint64):
+        codes = classify_codes(fmt, words.astype(lane))
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == expected, lane.__name__
+
+
+def _class_edges(fmt: FpFormat) -> list[int]:
+    """Both signs of 0, the largest denormal, the smallest normal, the
+    largest finite word, infinity and the smallest and largest NaN."""
+    w_f, top = fmt.fraction_bits, fmt.exponent_all_ones
+    inf = top << w_f
+    edges = [0, fmt.fraction_mask, 1 << w_f, inf - 1, inf, inf + 1, inf | fmt.fraction_mask]
+    return edges + [1 << (fmt.total_bits - 1) | m for m in edges]
+
+
+@pytest.mark.parametrize(
+    "fmt", [FpFormat(2, 61), FpFormat(62, 1), FpFormat(30, 33), BINARY32, BINARY64],
+    ids=lambda f: f.name,
+)
+def test_classify_codes_at_the_class_edges(fmt):
+    """The edges of every class under both signs get their `classify` code
+    from the array encoder and from the scalar bound count, whose number
+    of bounds reached, XOR 1, is `CLASS_CODE`."""
+    edges = _class_edges(fmt)
+    classes = [classify(Word(w, fmt)) for w in edges]
+    assert classes == 2 * [
+        FpClass.DENORMALIZED, FpClass.DENORMALIZED, FpClass.NORMALIZED, FpClass.NORMALIZED,
+        FpClass.INF, FpClass.NAN, FpClass.NAN,
+    ]
+    expected = [CLASS_CODE[c] for c in classes]
+    assert classify_codes(fmt, np.array(edges, dtype=lane_dtype(fmt))).tolist() == expected
+    assert classify_codes(fmt, np.array(edges, dtype=np.uint64)).tolist() == expected
+    bounds = _vector._class_bounds(fmt)
+    magnitudes = [w & fmt.word_mask >> 1 for w in edges]
+    assert [_vector._magnitude_code(bounds, m) for m in magnitudes] == expected
+
+
 def test_case_codes_that_the_label_sums_rest_on():
     assert Case.EXP_UP + 1 == Case.EXP_NONFINITE
     assert Case.EXP_TO_DEN + 1 == Case.EXP_TO_ZERO
