@@ -20,15 +20,19 @@ on is classified once, and a word of another class raises instead of
 tallying.  The census asks the kernel for its label once per position
 on each batch of enumerated words and reads the destination class off
 the flipped batch's magnitudes, one class interval each: a position
-whose flips all land in one class and one case is counted from the
-smallest and the largest magnitude alone.  The campaign never runs the
-kernel per lane: each chunk counts the `_vector.outcome_key` of its
-lanes in a histogram and keeps the smallest and largest word drawn for
-each key; after the merge the kernel runs once per position on those
-two representatives of every key seen, and each outcome is added as
-many times as its key was counted.  The two representatives must agree,
-so a key that missed a dependence of the outcome raises instead of
-tallying.
+whose flips all land in one class is counted from the smallest and the
+largest magnitude and, where the case labels differ, one count per
+label value.  Only a position whose flips span classes, or a fraction
+position of a batch holding nonzero denormals, builds per-word cells
+for `bincount`.  The campaign never runs the kernel per lane: each
+chunk counts the `_vector.outcome_key` of its lanes in a histogram and
+keeps the smallest and largest word drawn for each key; after the merge
+the kernel runs once per position on those two representatives of every
+key seen, and each outcome is added as many times as its key was
+counted.  The two representatives must agree, so a key that missed a
+dependence of the outcome raises instead of tallying.  Each engine also
+raises unless its tally's counts sum to its case count: class size
+times width for a census, the sample count for a campaign.
 
 `compare` judges either engine's tallies against the closed forms:
 exact rational equality for a census, a binomial z-test for a campaign.
@@ -169,13 +173,21 @@ class _MutableTally:
         The batch is flipped and its sign bits cleared: each class is one
         interval of these magnitudes (`_vector._class_bounds`), so when the
         smallest and the largest fall in one interval, every flip has that
-        destination class.  If the labels are then all one case outside
-        DEN_FRAC_LE, as at every sign and fraction position of a normalized
-        batch, the batch size is added to one cell and no per-word class
-        code is built (with `bincount` alone, the census of 8,15
-        normalized took 2.7 times as long).  Otherwise the class codes come
-        from the same magnitudes and the flat cells are counted with
-        `bincount`.
+        destination class, and no per-word class code is built:
+
+        * if the labels are all one case outside DEN_FRAC_LE, as at every
+          sign and fraction position of a normalized batch, the batch size
+          is added to one cell (with `bincount` alone, the census of 8,15
+          normalized took 2.7 times as long);
+        * else, unless the position can hold a DEN_FRAC_LE flip (a
+          fraction position of a batch with nonzero denormals), whose
+          column is a per-word level, each label value c from the smallest
+          label to the largest adds its count to (class, c, pos), as at
+          the exponent positions of a normalized batch, where EXP_UP,
+          EXP_DOWN, EXP_TO_DEN and EXP_NONFINITE mix.
+
+        Otherwise the class codes come from the same magnitudes and the
+        flat cells are counted with `bincount`.
         """
         label = kernel.label(pos)
         # looked up in `_vector`, like the kernel's own flips, so that a
@@ -183,12 +195,23 @@ class _MutableTally:
         magnitude = _vector.flip_bits(kernel.bits, pos)
         magnitude &= self.fmt.word_mask >> 1
         dst = _magnitude_code(self._bounds, int(magnitude.min()))
-        uniform = dst == _magnitude_code(self._bounds, int(magnitude.max()))
-        if uniform and label.min() == label.max() != Case.DEN_FRAC_LE:
-            self.counts[dst, label[0], pos] += magnitude.size
-            return
+        if dst == _magnitude_code(self._bounds, int(magnitude.max())):
+            lo, hi = int(label.min()), int(label.max())
+            if lo == hi != Case.DEN_FRAC_LE:
+                self.counts[dst, lo, pos] += magnitude.size
+                return
+            if not (kernel.has_den and pos < self.fmt.fraction_bits):
+                for c in range(lo, hi + 1):
+                    self.counts[dst, c, pos] += np.count_nonzero(label == c)
+                return
         cell = self.cells(kernel, pos, label, classify_codes(self.fmt, magnitude))
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
+
+    def check_total(self, expected: int) -> None:
+        """Raise RuntimeError unless the counts sum to `expected` flips."""
+        total = int(self.counts.sum())
+        if total != expected:
+            raise RuntimeError(f"tally counts {total} flips, not {expected}")
 
     def add_weighted(self, cell: np.ndarray, weight: np.ndarray) -> None:
         """Add `weight[i]` flips at `cell[i]`, in exact int64."""
@@ -297,7 +320,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     merge sums histograms and keeps the extremes, which no chunk order
     changes, so worker count affects wall time only, never the counts.
     At most `os.cpu_count()` threads run, and never more than chunks.
-    Raises RuntimeError if the two representatives of a key disagree.
+    Raises RuntimeError if the two representatives of a key disagree, or
+    if the tally does not count `sample_count` flips.
 
     Memory does not grow with the chunk count: thread t runs chunks t,
     t + threads, t + 2 * threads, ... one at a time, merging each into its
@@ -345,7 +369,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         stripes = range(threads)
         parts = map(run_stripe, stripes) if threads == 1 else pool.map(run_stripe, stripes)
         merged = _merge(parts)
-    return CampaignReport(config, _contract(fmt, cls, merged).freeze())
+    t = _contract(fmt, cls, merged)
+    t.check_total(n)
+    return CampaignReport(config, t.freeze())
 
 
 def _merge(parts: Iterator[_Part]) -> _Part:
@@ -424,6 +450,8 @@ def exhaustive_census(
 
     Restricted to formats of at most 24 bits, which caps the case count
     near half a billion in the worst case and keeps small formats fast.
+    Raises RuntimeError if the tally does not count class size times
+    width flips.
     """
     if fmt.total_bits > 24:
         raise ValueError("exhaustive census supports formats of at most 24 bits")
@@ -432,9 +460,9 @@ def exhaustive_census(
         kernel = t.kernel(chunk)
         for pos in range(fmt.total_bits):
             t.add(kernel, pos)
-    return CensusReport(
-        fmt, source_class, convention, class_size(fmt, source_class), t.freeze()
-    )
+    size = class_size(fmt, source_class)
+    t.check_total(size * fmt.total_bits)
+    return CensusReport(fmt, source_class, convention, size, t.freeze())
 
 
 # ── model comparison ──────────────────────────────────────────────────────

@@ -216,8 +216,10 @@ def test_exact_dyadic_tolerance_collapses_the_bracket():
 
 
 def test_tolerance_domain_errors():
-    with pytest.raises(ValueError):
-        decimal_threshold_bounds(BINARY64, Fraction(1, 3))  # above 1/4
+    # above 1/4: refused here, not later by cdf_dyadic with another message
+    for above in (Fraction(1, 3), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"tolerance must lie in \(0, 1/4\]"):
+            decimal_threshold_bounds(BINARY64, above)
     with pytest.raises(ValueError):
         decimal_threshold_bounds(BINARY64, Fraction(0))
     with pytest.raises(ValueError):

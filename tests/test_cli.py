@@ -965,6 +965,14 @@ def test_sample_with_every_cell_skipped_exits_three(capsys):
     assert all(c["passed"] is None for c in cells)
 
 
+def test_sample_with_a_zero_skip_threshold_judges_every_cell(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--n", "10000", "--seed", "11", "--min-p", "0")
+    assert code == 0
+    comparison = json.loads(out)["payload"]["comparison"]
+    assert comparison["min_p"] == 0 and comparison["passed"] is True
+    assert all(c["passed"] is not None for c in comparison["cells"])
+
+
 def test_sample_passes_at_default_sigma(capsys):
     doc = run_json(capsys, "sample", "--n", "50000", "--seed", "1")
     assert doc["payload"]["comparison"]["passed"] is True

@@ -190,6 +190,32 @@ def test_census_memory_does_not_grow_with_the_chunk_count(fmt):
     assert rise < 1 << 20, f"traced peak rose by {rise / 2**20:.2f} MiB"
 
 
+def test_census_raises_when_a_label_value_goes_uncounted(monkeypatch):
+    """`add` counts a one-class position's labels by value over
+    range(lo, hi + 1), the only two-argument `range` a census calls; with
+    that loop stopping one short, the label hi goes uncounted and the
+    census of every class that took the loop raises through its total."""
+    calls = []
+
+    def one_short(*args):
+        if len(args) == 2:
+            calls.append(args)
+            return range(args[0], args[1] - 1)
+        return range(*args)
+
+    monkeypatch.setattr(montecarlo, "range", one_short, raising=False)
+    raised = []
+    for cls in ORDER:
+        calls.clear()
+        try:
+            exhaustive_census(FpFormat(6, 13), cls)
+        except RuntimeError as err:
+            assert "flips, not" in str(err)
+            raised.append(cls)
+        assert (cls in raised) == bool(calls), cls
+    assert FpClass.NORMALIZED in raised
+
+
 # ── exhaustive census against the closed forms ────────────────────────────
 
 
@@ -324,6 +350,30 @@ def test_campaign_raises_when_the_key_merges_denormal_levels(monkeypatch):
     config = CampaignConfig(BINARY16, FpClass.DENORMALIZED, 100_000, seed=1)
     with pytest.raises(RuntimeError, match=r"outcome key \d+ \(position 0, flags [45]\)"):
         run_campaign(config)
+
+
+def test_campaign_raises_when_a_part_goes_unmerged(monkeypatch):
+    real = montecarlo._merge
+
+    def without_the_last(parts):
+        parts = list(parts)
+        return real(iter(parts[:-1] or parts))
+
+    monkeypatch.setattr(montecarlo, "_merge", without_the_last)
+    config = CampaignConfig(BINARY16, FpClass.NORMALIZED, 5000, seed=1, chunk_size=2000)
+    with pytest.raises(RuntimeError, match="tally counts 4000 flips, not 5000"):
+        run_campaign(config)
+
+
+@pytest.mark.parametrize("n", [1, 65537])
+@pytest.mark.parametrize("cls", ORDER, ids=lambda c: c.value)
+def test_campaign_counts_every_sample_at_the_chunk_edges(n, cls):
+    """One sample, and one past the default chunk, which leaves a
+    one-sample last chunk: the tally's total must be n, or the campaign
+    raises."""
+    report = run_campaign(CampaignConfig(BINARY16, cls, n, seed=3))
+    assert sum(sum(row) for row in report.tally.transitions) == n
+    assert sum(report.tally.buckets) == n
 
 
 def test_campaign_worker_count_does_not_change_tallies():
@@ -532,6 +582,17 @@ def test_minuscule_probabilities_are_skipped_not_judged():
     assert "err_ge_one" not in skipped
     # staying normalized misses certainty by 1.7e-4, below the floor too
     assert "to_normalized" in skipped
+    assert verdict.passed
+
+
+def test_a_zero_skip_threshold_judges_every_cell():
+    """min_p = 0, the lower end of [0, 1/2), skips no cell: the rare
+    escapes to infinity and NaN are judged by their z-scores."""
+    config = CampaignConfig(BINARY64, FpClass.NORMALIZED, 10_000, seed=11)
+    verdict = compare(transition_matrix(BINARY64), run_campaign(config), min_p=0)
+    assert verdict.min_p == 0
+    assert not any(c.skipped for c in verdict.cells)
+    assert {"to_inf", "to_nan", "to_normalized"} <= {c.name for c in verdict.cells}
     assert verdict.passed
 
 
