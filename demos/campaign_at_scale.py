@@ -51,7 +51,7 @@ for name, count in buckets.items():
 # standard deviations; rarer cells are unresolvable at this sample size
 # and are skipped (to_inf at 1.9e-20 would need ~10^20 samples).
 
-verdict = compare(matrix, report)
+verdict = compare(report)
 judged = [c for c in verdict.cells if not c.skipped]
 skipped = [c.name for c in verdict.cells if c.skipped]
 worst = max((abs(c.z) for c in judged if c.z is not None), default=0.0)

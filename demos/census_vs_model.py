@@ -41,7 +41,7 @@ print("\nevery observed frequency equals its closed form exactly")
 # ── the comparison report does the same, mechanically ─────────────────────
 
 report = exhaustive_census(fmt, FpClass.NORMALIZED)
-verdict = compare(matrix, report)
+verdict = compare(report)
 print(f"\ncompare() on the normalized census: mode={verdict.mode}, "
       f"{len(verdict.cells)} cells, passed={verdict.passed}")
 

@@ -8,11 +8,8 @@ The class vocabulary (`CLASS_ORDER`, `CLASS_CODE` and the class-pair
 code) lives in `formats`; `classify_codes` is its one array encoder.
 It splits no field: with the sign bit cleared, each class is one
 interval of the magnitude (`_class_bounds`), so a word's class is the
-number of bounds its magnitude reaches.  The census in `montecarlo`
-tests the same bounds on the smallest and largest magnitude of a
-flipped batch, with `_magnitude_code`, and builds per-word codes only
-when the two lie in different classes or the position is a fraction
-position of a batch holding nonzero denormals.
+number of bounds its magnitude reaches.  `montecarlo._MutableTally.add`
+says how the census tests the same bounds on a flipped batch.
 
 The flip kernel runs in the narrowest lane that holds a word,
 `lane_dtype`: uint32 for a format of at most 32 bits, else uint64.  Every
@@ -234,9 +231,8 @@ class FlipKernel:
     * `held(pos)`: whether each field of the word changed exactly as the
       flip predicts, which is what the bounds sweep counts;
     * `dst(pos)`: the class code of each after-word, which the campaign
-      tallies with the label (the census reads the same class off the
-      flipped magnitudes, and builds the codes only when they differ or
-      the position can hold a DEN_FRAC_LE flip).
+      tallies with the label (`montecarlo._MutableTally.add` says when
+      the census builds the same codes).
 
     `held` costs one flip and one split of the change after ^ bits into
     exponent and fraction; `dst` costs one flip and the three magnitude

@@ -359,9 +359,7 @@ def _cmd_sample(fmt: FpFormat, args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
     )
     report = run_campaign(config, workers=args.workers)
-    verdict = compare(
-        transition_matrix(fmt), report, sigma=args.sigma, min_p=args.min_p
-    )
+    verdict = compare(report, sigma=args.sigma, min_p=args.min_p)
     payload = {"report": report.to_payload(), "comparison": verdict.to_payload()}
     _emit(fmt, "sample", payload, args.digits)
     return EXIT_OK if verdict.passed else EXIT_MISMATCH
@@ -369,12 +367,11 @@ def _cmd_sample(fmt: FpFormat, args: argparse.Namespace) -> int:
 
 def _cmd_census(fmt: FpFormat, args: argparse.Namespace) -> int:
     classes = [args.source_class] if args.source_class else list(CLASS_ORDER)
-    matrix = transition_matrix(fmt)
     entries = []
     all_passed = True
     for cls in classes:
         report = exhaustive_census(fmt, cls, args.convention)
-        verdict = compare(matrix, report)
+        verdict = compare(report)
         all_passed &= verdict.passed
         entries.append(
             {"report": report.to_payload(), "comparison": verdict.to_payload()}

@@ -17,14 +17,9 @@ label and destination class, never its `held` verdict, which is the
 sweep's.  Each tallies the flips of one source class, so the class is a
 parameter of the tally, not a per-lane fact: every batch the kernel runs
 on is classified once, and a word of another class raises instead of
-tallying.  The census asks the kernel for its label once per position
-on each batch of enumerated words and reads the destination class off
-the flipped batch's magnitudes, one class interval each: a position
-whose flips all land in one class is counted from the smallest and the
-largest magnitude and, where the case labels differ, one count per
-label value.  Only a position whose flips span classes, or a fraction
-position of a batch holding nonzero denormals, builds per-word cells
-for `bincount`.  The campaign never runs the kernel per lane: each
+tallying.  The census runs the kernel once per position on each batch
+of enumerated words, and `_MutableTally.add` says how it counts the
+flips.  The campaign never runs the kernel per lane: each
 chunk counts the `_vector.outcome_key` of its lanes in a histogram and
 keeps the smallest and largest word drawn for each key; after the merge
 the kernel runs once per position on those two representatives of every
@@ -34,8 +29,9 @@ dependence of the outcome raises instead of tallying.  Each engine also
 raises unless its tally's counts sum to its case count: class size
 times width for a census, the sample count for a campaign.
 
-`compare` judges either engine's tallies against the closed forms:
-exact rational equality for a census, a binomial z-test for a campaign.
+`compare` judges either engine's report against the closed forms of
+the report's own format, which it builds itself: exact rational
+equality for a census, a binomial z-test for a campaign.
 """
 
 from __future__ import annotations
@@ -57,9 +53,9 @@ from ._vector import flip_bits, msb_index, split_fields  # noqa: F401
 from .analytic import (
     BUCKET_NAMES,
     BucketConvention,
-    TransitionMatrix,
     cdf_dyadic,
     interval_probabilities,
+    transition_matrix,
 )
 from .formats import CLASS_CODE, CLASS_ORDER, FpClass, FpFormat, class_size, class_table
 from .rationals import ratio_str
@@ -143,23 +139,16 @@ class _MutableTally:
         return FlipKernel(self.fmt, bits)
 
     def cells(
-        self,
-        kernel: FlipKernel,
-        pos: int,
-        label: np.ndarray | None = None,
-        dst: np.ndarray | None = None,
+        self, kernel: FlipKernel, pos: int, label: np.ndarray, dst: np.ndarray
     ) -> np.ndarray:
         """Flat index into `counts` of the flip of `pos` in every word of the
-        kernel's batch, from its label and destination class codes (the
-        kernel's, when not given; `dst` is written over).  The case, dst *
-        Case.COUNT + label, indexes the first two axes of `counts`
-        flattened; it is below len(CLASS_ORDER) * Case.COUNT = 52, so a
-        uint8."""
-        label = kernel.label(pos) if label is None else label
-        case = kernel.dst(pos) if dst is None else dst
-        case *= np.uint8(Case.COUNT)
-        case += label
-        cell = np.multiply(case, self.fmt.total_bits, dtype=np.intp)
+        kernel's batch, from its label and destination class codes (`dst`
+        is written over).  The case, dst * Case.COUNT + label, indexes the
+        first two axes of `counts` flattened; it is below
+        len(CLASS_ORDER) * Case.COUNT = 52, so a uint8."""
+        dst *= np.uint8(Case.COUNT)
+        dst += label
+        cell = np.multiply(dst, self.fmt.total_bits, dtype=np.intp)
         cell += pos
         if kernel.has_den:  # a DEN_FRAC_LE flip's column is its level, lead - pos
             level = label == Case.DEN_FRAC_LE
@@ -319,7 +308,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     outcome keys with the smallest and largest word of each key; the
     merge sums histograms and keeps the extremes, which no chunk order
     changes, so worker count affects wall time only, never the counts.
-    At most `os.cpu_count()` threads run, and never more than chunks.
+    The stripes run on a thread pool, even when there is one stripe; at
+    most `os.cpu_count()` threads run, and never more than chunks.
     Raises RuntimeError if the two representatives of a key disagree, or
     if the tally does not count `sample_count` flips.
 
@@ -366,9 +356,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         return _merge(run_chunk(c, words, pos) for c in range(first, n_chunks, threads))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        stripes = range(threads)
-        parts = map(run_stripe, stripes) if threads == 1 else pool.map(run_stripe, stripes)
-        merged = _merge(parts)
+        merged = _merge(pool.map(run_stripe, range(threads)))
     t = _contract(fmt, cls, merged)
     t.check_total(n)
     return CampaignReport(config, t.freeze())
@@ -397,7 +385,8 @@ def _contract(fmt: FpFormat, cls: FpClass, merged: _Part) -> _MutableTally:
         keys = pos * width + np.flatnonzero(hist[pos * width : (pos + 1) * width])
         if not keys.size:
             continue
-        cell = t.cells(t.kernel(np.concatenate([lo[keys], hi[keys]])), pos).reshape(2, -1)
+        kernel = t.kernel(np.concatenate([lo[keys], hi[keys]]))
+        cell = t.cells(kernel, pos, kernel.label(pos), kernel.dst(pos)).reshape(2, -1)
         same = cell[0] == cell[1]
         if not same.all():
             k = int(keys[np.argmin(same)])
@@ -523,13 +512,11 @@ class ComparisonReport:
 
 
 def compare(
-    matrix: TransitionMatrix,
-    report: CampaignReport | CensusReport,
-    *,
-    sigma: float = 4.0,
-    min_p: float = 1e-6,
+    report: CampaignReport | CensusReport, *, sigma: float = 4.0, min_p: float = 1e-6
 ) -> ComparisonReport:
-    """Judge a census or campaign report against the closed-form models.
+    """Judge a census or campaign report against the closed-form models
+    of its format: `transition_matrix`, `interval_probabilities` under the
+    report's bucket convention, and `cdf_dyadic`.
 
     Census counts must reproduce every probability exactly as rationals.
     Campaign counts must sit within `sigma` binomial standard deviations
@@ -544,8 +531,6 @@ def compare(
         raise ValueError(f"sigma must be a positive finite number, not {sigma!r}")
     if not 0 <= min_p < 0.5:
         raise ValueError(f"min_p must lie in [0, 1/2), not {min_p!r}")
-    if matrix.fmt != report.fmt:
-        raise ValueError("matrix and report describe different formats")
     fmt = report.fmt
     exact = isinstance(report, CensusReport)
     mode = "census" if exact else "campaign"
@@ -565,6 +550,7 @@ def compare(
         z = (count - n * float(p)) / sd
         return ComparisonCell(name, p, count, n, z, abs(z) <= sigma)
 
+    matrix = transition_matrix(fmt)
     cells = [
         judge(f"to_{dst.value}", matrix.entry(src, dst), report.tally.transition(src, dst))
         for dst in CLASS_ORDER

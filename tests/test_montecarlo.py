@@ -109,7 +109,7 @@ def test_census_with_a_foreign_word_is_red(monkeypatch, fmt, src, foreign):
         report = exhaustive_census(fmt, src)
     except RuntimeError:
         return
-    assert not compare(transition_matrix(fmt), report).passed
+    assert not compare(report).passed
 
 
 @FOREIGN_PAIRS
@@ -224,7 +224,7 @@ def test_census_raises_when_a_label_value_goes_uncounted(monkeypatch):
 @pytest.mark.parametrize("conv", list(BucketConvention), ids=lambda c: c.value)
 def test_census_equals_model_exactly(fmt, cls, conv):
     report = exhaustive_census(fmt, cls, conv)
-    verdict = compare(transition_matrix(fmt), report)
+    verdict = compare(report)
     assert verdict.mode == "census"
     assert verdict.passed, [c.name for c in verdict.failures()]
     # the same equalities, asserted directly as rationals
@@ -489,7 +489,7 @@ def _assert_key_sufficient(fmt: FpFormat, cls: FpClass, words: np.ndarray) -> No
     kernel = tally.kernel(words)
     keys, cells = [], []
     for pos in range(fmt.total_bits):
-        cells.append(tally.cells(kernel, pos))
+        cells.append(tally.cells(kernel, pos, kernel.label(pos), kernel.dst(pos)))
         key, width = outcome_key(fmt, cls, words, np.full(words.size, pos, dtype=np.uint64))
         keys.append(key)
     key, cell = np.concatenate(keys), np.concatenate(cells)
@@ -549,7 +549,7 @@ def test_outcome_key_is_sufficient_on_wide_formats(fmt, data):
 @pytest.mark.parametrize("cls", ORDER, ids=lambda c: c.value)
 def test_campaign_within_tolerance(cls):
     config = CampaignConfig(BINARY64, cls, 200_000, seed=2024)
-    verdict = compare(transition_matrix(BINARY64), run_campaign(config))
+    verdict = compare(run_campaign(config))
     assert verdict.mode == "campaign"
     assert verdict.passed, [(c.name, c.z) for c in verdict.failures()]
 
@@ -571,9 +571,7 @@ def test_campaign_buckets_pass_a_chi_square_test():
 
 def test_minuscule_probabilities_are_skipped_not_judged():
     config = CampaignConfig(BINARY64, FpClass.NORMALIZED, 10_000, seed=11)
-    verdict = compare(
-        transition_matrix(BINARY64), run_campaign(config), min_p=1e-3
-    )
+    verdict = compare(run_campaign(config), min_p=1e-3)
     skipped = {c.name for c in verdict.cells if c.skipped}
     # both rare escapes fall below the floor; the common cells are judged
     assert "to_inf" in skipped
@@ -589,7 +587,7 @@ def test_a_zero_skip_threshold_judges_every_cell():
     """min_p = 0, the lower end of [0, 1/2), skips no cell: the rare
     escapes to infinity and NaN are judged by their z-scores."""
     config = CampaignConfig(BINARY64, FpClass.NORMALIZED, 10_000, seed=11)
-    verdict = compare(transition_matrix(BINARY64), run_campaign(config), min_p=0)
+    verdict = compare(run_campaign(config), min_p=0)
     assert verdict.min_p == 0
     assert not any(c.skipped for c in verdict.cells)
     assert {"to_inf", "to_nan", "to_normalized"} <= {c.name for c in verdict.cells}
@@ -598,7 +596,7 @@ def test_a_zero_skip_threshold_judges_every_cell():
 
 def test_tiny_sigma_fails_a_healthy_campaign():
     config = CampaignConfig(BINARY64, FpClass.NORMALIZED, 200_000, seed=5)
-    verdict = compare(transition_matrix(BINARY64), run_campaign(config), sigma=1e-9)
+    verdict = compare(run_campaign(config), sigma=1e-9)
     assert not verdict.passed
     assert verdict.failures()
 
@@ -606,7 +604,7 @@ def test_tiny_sigma_fails_a_healthy_campaign():
 def test_a_comparison_with_every_cell_skipped_does_not_pass():
     fmt = FpFormat(3, 2)
     report = run_campaign(CampaignConfig(fmt, FpClass.NORMALIZED, 1000, seed=0))
-    verdict = compare(transition_matrix(fmt), report, min_p=0.499)
+    verdict = compare(report, min_p=0.499)
     assert verdict.cells and all(c.skipped for c in verdict.cells)
     assert not verdict.passed and not verdict.failures()
 
@@ -618,13 +616,7 @@ def test_a_comparison_with_every_cell_skipped_does_not_pass():
 def test_compare_rejects_thresholds_that_judge_nothing(kwargs):
     report = exhaustive_census(FpFormat(3, 2), FpClass.NORMALIZED)
     with pytest.raises(ValueError):
-        compare(transition_matrix(report.fmt), report, **kwargs)
-
-
-def test_compare_rejects_mismatched_formats():
-    report = exhaustive_census(FpFormat(3, 2), FpClass.NORMALIZED)
-    with pytest.raises(ValueError):
-        compare(transition_matrix(BINARY64), report)
+        compare(report, **kwargs)
 
 
 def test_doctored_census_fails_exact_comparison():
@@ -640,7 +632,7 @@ def test_doctored_census_fails_exact_comparison():
         report.fmt, report.source_class, report.convention,
         report.class_size, bad_tally,
     )
-    verdict = compare(transition_matrix(report.fmt), doctored)
+    verdict = compare(doctored)
     assert not verdict.passed
     assert [c.name for c in verdict.failures()] == ["to_nan"]
 
@@ -655,25 +647,26 @@ def test_zero_probability_cell_requires_zero_count():
     )
     config = CampaignConfig(fmt, FpClass.DENORMALIZED, census.cases + 1, seed=0)
     fake = CampaignReport(config, bad_tally)
-    verdict = compare(transition_matrix(fmt), fake)
+    verdict = compare(fake)
     cell = {c.name: c for c in verdict.cells}["to_inf"]
     assert cell.z is None and cell.passed is False
     assert not verdict.passed
 
 
 @pytest.mark.parametrize("observed,passed", [(1000, True), (999, False)])
-def test_certain_cell_is_judged_exactly(observed, passed):
+def test_certain_cell_is_judged_exactly(monkeypatch, observed, passed):
     # A model where every flip of a NaN stays NaN: p = 1 has no spread, so
     # the count must be every case, as a zero cell's count must be 0.
     fmt = FpFormat(3, 2)
     entries = dict(transition_matrix(fmt).entries)
     for dst in ORDER:
         entries[(FpClass.NAN, dst)] = Fraction(int(dst is FpClass.NAN))
+    monkeypatch.setattr(montecarlo, "transition_matrix", lambda f: TransitionMatrix(f, entries))
     report = run_campaign(CampaignConfig(fmt, FpClass.NAN, 1000, seed=0))
     rows = [[0] * 4 for _ in ORDER]
     rows[2][2], rows[2][0] = observed, 1000 - observed
     tally = FlipTally(tuple(map(tuple, rows)), report.tally.buckets, report.tally.dyadic)
-    verdict = compare(TransitionMatrix(fmt, entries), CampaignReport(report.config, tally))
+    verdict = compare(CampaignReport(report.config, tally))
     cell = {c.name: c for c in verdict.cells}["to_nan"]
     assert cell.expected == 1 and cell.z is None and cell.passed is passed
     assert verdict.passed is passed
@@ -684,7 +677,7 @@ def test_near_certain_cell_is_skipped_like_a_rare_one():
     # float(p) rounds to 1: the binomial spread is below resolution.
     fmt = FpFormat(62, 1)
     report = run_campaign(CampaignConfig(fmt, FpClass.NORMALIZED, 30_000, seed=5))
-    verdict = compare(transition_matrix(fmt), report)
+    verdict = compare(report)
     cell = {c.name: c for c in verdict.cells}["to_normalized"]
     assert 0 < 1 - cell.expected <= verdict.min_p
     assert cell.z is None and cell.passed is None
@@ -705,7 +698,7 @@ def test_sample_class_bits_stays_in_class(cls):
 def test_report_payloads_serialize():
     census = exhaustive_census(FpFormat(3, 2), FpClass.NORMALIZED)
     campaign = run_campaign(CampaignConfig(BINARY64, FpClass.NORMALIZED, 1000, seed=1))
-    verdict = compare(transition_matrix(BINARY64), campaign)
+    verdict = compare(campaign)
     for payload in (census.to_payload(), campaign.to_payload(), verdict.to_payload()):
         text = json.dumps(payload)
         assert json.loads(text) == payload
