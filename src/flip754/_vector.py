@@ -191,15 +191,10 @@ def classify_codes(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     return code
 
 
-def flip_bits(bits: np.ndarray, pos: np.ndarray | int) -> np.ndarray:
-    """XOR each word with 1 << pos.
-
-    A Python int `pos` keeps the lanes of `bits` (uint32 words stay
-    uint32, `lane_dtype`); a per-word `pos` flips uint64 words."""
-    b = _lanes(bits)
-    if isinstance(pos, int):
-        return b ^ (1 << pos)
-    return b ^ (_U1 << np.asarray(pos, dtype=np.uint64))
+def flip_bits(bits: np.ndarray, pos: int) -> np.ndarray:
+    """XOR each word with 1 << pos, in the lanes of `bits` (uint32 words
+    stay uint32, `lane_dtype`)."""
+    return _lanes(bits) ^ (1 << pos)
 
 
 def msb_index(values: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isfinite, sqrt
 from typing import Iterator
 
@@ -162,18 +163,15 @@ class _MutableTally:
         The batch is flipped and its sign bits cleared: each class is one
         interval of these magnitudes (`_vector._class_bounds`), so when the
         smallest and the largest fall in one interval, every flip has that
-        destination class, and no per-word class code is built:
-
-        * if the labels are all one case outside DEN_FRAC_LE, as at every
-          sign and fraction position of a normalized batch, the batch size
-          is added to one cell (with `bincount` alone, the census of 8,15
-          normalized took 2.7 times as long);
-        * else, unless the position can hold a DEN_FRAC_LE flip (a
-          fraction position of a batch with nonzero denormals), whose
-          column is a per-word level, each label value c from the smallest
-          label to the largest adds its count to (class, c, pos), as at
-          the exponent positions of a normalized batch, where EXP_UP,
-          EXP_DOWN, EXP_TO_DEN and EXP_NONFINITE mix.
+        destination class, and no per-word class code is built.  Then,
+        unless DEN_FRAC_LE, whose column is a per-word level, lies between
+        the smallest label and the largest, each label value c in that
+        range adds its count to (class, c, pos): the batch size when the
+        labels are all one case, as at every sign and fraction position of
+        a normalized batch (with `bincount` alone, the census of 8,15
+        normalized took 2.7 times as long), else the lanes labelled c, as
+        at its exponent positions, where EXP_UP, EXP_DOWN, EXP_TO_DEN and
+        EXP_NONFINITE mix.
 
         Otherwise the class codes come from the same magnitudes and the
         flat cells are counted with `bincount`.
@@ -186,12 +184,10 @@ class _MutableTally:
         dst = _magnitude_code(self._bounds, int(magnitude.min()))
         if dst == _magnitude_code(self._bounds, int(magnitude.max())):
             lo, hi = int(label.min()), int(label.max())
-            if lo == hi != Case.DEN_FRAC_LE:
-                self.counts[dst, lo, pos] += magnitude.size
-                return
-            if not (kernel.has_den and pos < self.fmt.fraction_bits):
+            if not lo <= Case.DEN_FRAC_LE <= hi:
                 for c in range(lo, hi + 1):
-                    self.counts[dst, c, pos] += np.count_nonzero(label == c)
+                    n = magnitude.size if lo == hi else np.count_nonzero(label == c)
+                    self.counts[dst, c, pos] += n
                 return
         cell = self.cells(kernel, pos, label, classify_codes(self.fmt, magnitude))
         self.counts += np.bincount(cell, minlength=self.counts.size).reshape(self.counts.shape)
@@ -308,8 +304,10 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
     outcome keys with the smallest and largest word of each key; the
     merge sums histograms and keeps the extremes, which no chunk order
     changes, so worker count affects wall time only, never the counts.
-    The stripes run on a thread pool, even when there is one stripe; at
-    most `os.cpu_count()` threads run, and never more than chunks.
+    The calling thread runs the first stripe while a thread pool runs the
+    rest, so a one-stripe campaign starts no thread; at most
+    `os.cpu_count()` threads run, the caller's among them, and never more
+    than chunks.
     Raises RuntimeError if the two representatives of a key disagree, or
     if the tally does not count `sample_count` flips.
 
@@ -356,7 +354,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
         return _merge(run_chunk(c, words, pos) for c in range(first, n_chunks, threads))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        merged = _merge(pool.map(run_stripe, range(threads)))
+        rest = pool.map(run_stripe, range(1, threads))
+        merged = _merge(chain([run_stripe(0)], rest))
     t = _contract(fmt, cls, merged)
     t.check_total(n)
     return CampaignReport(config, t.freeze())

@@ -190,11 +190,12 @@ def binary64_batches() -> np.ndarray:
 
 
 def _wrong_bit_flip(real, fmt):
-    """flip_bits that flips bit 60 whenever a fraction position is asked for."""
+    """flip_bits that flips bit 60 whenever a fraction position is asked
+    for.  The words are widened to uint64 first, so that bit 60 lands
+    outside a narrow word instead of overflowing its uint32 lanes."""
 
     def flip_bits(bits, pos):
-        p = np.asarray(pos, dtype=np.uint64)
-        return real(bits, np.where(p < np.uint64(fmt.fraction_bits), np.uint64(60), p))
+        return real(np.asarray(bits, np.uint64), 60 if pos < fmt.fraction_bits else pos)
 
     return flip_bits
 
@@ -236,11 +237,12 @@ def sign_co_flip(real, fmt):
     campaign red: a sign flip changes neither the destination class nor
     the case label, so every census tally of 3,2 is unchanged under it.
     """
-    top = np.uint64(fmt.total_bits - 1)
+    top = fmt.total_bits - 1
 
     def flip_bits(bits, pos):
         flipped = real(bits, pos)
-        flipped ^= (np.asarray(pos, dtype=np.uint64) != top).astype(np.uint64) << top
+        if pos != top:
+            flipped ^= 1 << top
         return flipped
 
     return flip_bits

@@ -6,6 +6,7 @@ import json
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -411,6 +412,30 @@ def test_campaign_caps_its_thread_pool(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     assert run_campaign(config, workers=5000).tally == expected
     assert sizes == [4, 3, 1, 2, 1]
+
+
+def test_campaign_runs_its_first_stripe_on_the_calling_thread(monkeypatch):
+    """The caller runs stripe 0 and the pool the others, so every chunk of
+    a one-worker campaign is drawn on the caller's thread and no thread is
+    started; with two workers the chunks run on two threads, the caller's
+    and one more."""
+    idents = []
+    real = montecarlo.sample_class_bits
+
+    def recording(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_class_bits", recording)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    config = CampaignConfig(BINARY16, FpClass.NORMALIZED, 8 * 512, seed=7, chunk_size=512)
+    caller = threading.get_ident()
+    one = run_campaign(config, workers=1)
+    assert len(idents) == 8 and set(idents) == {caller}
+    idents.clear()
+    two = run_campaign(config, workers=2)
+    assert len(idents) == 8 and len(set(idents)) == 2 and caller in idents
+    assert one.tally == two.tally
 
 
 def test_campaign_memory_does_not_grow_with_the_chunk_count(monkeypatch):
